@@ -5,6 +5,13 @@ longitudinal acceleration every step and may request a lane change, which
 then runs as a smoothstep lateral profile. World pose (position, heading)
 is reconstructed from the Frenet state, including the lateral-velocity
 component of heading during a lane change.
+
+The reconstruction is a snapshot: :attr:`Actor.state` builds the
+:class:`VehicleState` once and returns that same object until
+:meth:`Actor.step` next mutates the Frenet state. Every reader of one
+simulation step (perception, collision checks, the recorded trace, the
+settle check) therefore shares one object per actor instead of
+re-running the road's Frenet-to-world transform for each.
 """
 
 from __future__ import annotations
@@ -77,6 +84,7 @@ class Actor:
         self._accel = 0.0
         self._lateral_rate = 0.0
         self._lane_change: _LaneChange | None = None
+        self._state: VehicleState | None = None
 
     # ------------------------------------------------------------------
     # read-only state
@@ -109,7 +117,16 @@ class Actor:
 
     @property
     def state(self) -> VehicleState:
-        """World-frame state reconstructed from the Frenet state."""
+        """World-frame state reconstructed from the Frenet state.
+
+        Built on first access after a step and cached: repeated reads
+        between two steps return the same object.
+        """
+        if self._state is None:
+            self._state = self._build_state()
+        return self._state
+
+    def _build_state(self) -> VehicleState:
         position = self.road.to_world(FrenetPoint(self._station, self._offset))
         heading = self.road.heading_at(self._station)
         if self._speed > 1e-6 and self._lateral_rate != 0.0:
@@ -133,7 +150,10 @@ class Actor:
         """Advance the actor by one simulation step."""
         if dt <= 0.0:
             raise ConfigurationError(f"dt must be positive, got {dt}")
+        # The behaviour decides from the pre-step snapshot (and may build
+        # it); it is dropped before anything below mutates Frenet state.
         command = self.behavior.update(now, self, context)
+        self._state = None
         self._maybe_start_lane_change(now, command)
 
         accel = clamp(command.accel, -self.spec.max_decel, self.spec.max_accel)

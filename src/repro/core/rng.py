@@ -18,12 +18,21 @@ reproducibility. Times key by their float64 bit pattern
 timestamps are bit-equal, which the closed-form evaluation grids
 (``start + i * stride``) guarantee across stride-aligned engines.
 
-Everything computes with numpy's elementwise uint64 ops (wraparound
-arithmetic, no Python-int round trips), so a scalar call and a
-vectorized call over an array of keys produce bit-identical values —
-the parity the order-independence test layer pins. Intermediate
-operands stay ndarrays (0-d or bigger) because numpy's *scalar* uint64
-arithmetic emits overflow warnings where the array path wraps silently.
+The hash chain computes with numpy's elementwise uint64 ops
+(wraparound arithmetic), so a scalar call and a vectorized call over an
+array of keys produce bit-identical values — the parity the
+order-independence test layer pins. Intermediate operands stay ndarrays
+(0-d or bigger) because numpy's *scalar* uint64 arithmetic emits
+overflow warnings where the array path wraps silently. Only
+:func:`stable_key`'s FNV-1a byte loop runs on Python integers masked to
+64 bits: one key word per id, where a numpy operation per byte would
+cost more than the hashing itself; it yields the same words.
+
+Because every operation is elementwise, one call may also stack several
+streams on a leading axis (a ``(k, 1)`` column of stream words against
+``(n,)`` keys): row ``i`` of the result is bit-identical to the separate
+call on stream ``i``. Perception draws a camera frame's x and y position
+noise that way, in one :func:`counter_normal` call.
 """
 
 from __future__ import annotations
@@ -39,9 +48,11 @@ _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
-# FNV-1a 64-bit parameters for string/bytes keys.
-_FNV_OFFSET = np.uint64(0xCBF29CE484222325)
-_FNV_PRIME = np.uint64(0x00000100000001B3)
+# FNV-1a 64-bit parameters for string/bytes keys (Python ints: the
+# byte loop runs on masked integers, see stable_key).
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x00000100000001B3
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 #: Exactly representable reciprocal of 2^53: the top 53 hash bits map
 #: to the standard [0, 1) double grid.
@@ -99,17 +110,16 @@ def stable_key(value: object) -> np.uint64:
             "booleans are not id-like; key on an int or string instead"
         )
     if isinstance(value, (int, np.integer)):
-        return np.uint64(int(value) & 0xFFFFFFFFFFFFFFFF)
+        return np.uint64(int(value) & _MASK64)
     if isinstance(value, (float, np.floating)):
         return np.asarray(value, dtype=np.float64).view(np.uint64)[()]
     if isinstance(value, str):
         value = value.encode("utf-8")
     if isinstance(value, bytes):
-        h = np.array([_FNV_OFFSET], dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            for byte in value:
-                h = (h ^ np.uint64(byte)) * _FNV_PRIME
-        return h[0]
+        h = _FNV_OFFSET
+        for byte in value:
+            h = ((h ^ byte) * _FNV_PRIME) & _MASK64
+        return np.uint64(h)
     raise ConfigurationError(
         f"no stable 64-bit key for {type(value).__name__!r} values"
     )

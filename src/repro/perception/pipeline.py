@@ -210,12 +210,12 @@ class PerceptionSystem:
             else:
                 in_fov = None
                 expected = frozenset()
-            # The frame's FOV membership is handed down so detection
-            # does not recompute the same geometry.
+            # The frame's camera pose and FOV membership are handed down
+            # so detection does not recompute the same geometry.
             detections = tuple(
                 self.detection_model.detect(
                     frame_camera, ego_state, now, actors, self.seed,
-                    in_fov=in_fov,
+                    in_fov=in_fov, camera_frame=camera_frame,
                 )
             )
             ready = now + self.processing_latency(camera.name)

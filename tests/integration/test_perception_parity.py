@@ -205,25 +205,48 @@ class TestOcclusionMaskParity:
             occlusion_mask,
         )
 
+        def car(x, y, heading):
+            return (
+                VehicleState(position=Vec2(x, y), heading=heading, speed=1.0),
+                VehicleSpec(),
+            )
+
+        def every_target(actors):
+            return [
+                (index, actors[index][0].position)
+                for index in range(len(actors))
+            ]
+
         rng = np.random.default_rng(7)
+        cases = []
         for _ in range(50):
             actors = [
-                (
-                    VehicleState(
-                        position=Vec2(*rng.uniform(-40.0, 40.0, 2)),
-                        heading=float(rng.uniform(-np.pi, np.pi)),
-                        speed=1.0,
-                    ),
-                    VehicleSpec(),
+                car(
+                    *rng.uniform(-40.0, 40.0, 2),
+                    float(rng.uniform(-np.pi, np.pi)),
                 )
                 for _ in range(5)
             ]
             eye = Vec2(*rng.uniform(-5.0, 5.0, 2))
-            targets = [
-                (index, actors[index][0].position)
-                for index in range(len(actors))
-            ]
+            cases.append((eye, every_target(actors), actors))
+        half_wid = VehicleSpec().width / 2.0
+        # A target inside the clearance radius, right behind a blocker.
+        close = [car(1.5, 0.0, 0.0), car(0.5, 0.0, 0.0), car(20.0, 0.0, 0.0)]
+        cases.append((Vec2(0.0, 0.0), every_target(close), close))
+        # Axis-parallel rays along a box edge line: heading 0 with the ray
+        # on the blocker's left side, heading pi/2 on its right side.
+        along_x = [car(20.0, 0.0, 0.0), car(40.0, half_wid, 0.0)]
+        cases.append((Vec2(0.0, half_wid), every_target(along_x), along_x))
+        along_y = [car(0.0, 20.0, np.pi / 2), car(half_wid, 40.0, np.pi / 2)]
+        cases.append((Vec2(half_wid, 0.0), every_target(along_y), along_y))
+        # No targets, and a single target behind one blocker.
+        cases.append((Vec2(0.0, 0.0), [], along_x))
+        single = [car(10.0, 0.3, 0.0), car(30.0, 0.0, 0.0)]
+        cases.append((Vec2(0.0, 0.0), every_target(single)[1:], single))
+
+        for eye, targets, actors in cases:
             batched = occlusion_mask(eye, targets, actors)
+            assert batched.shape == (len(targets),)
             for row, (target_index, target) in enumerate(targets):
                 ray = target - eye
                 distance = np.sqrt(ray.x * ray.x + ray.y * ray.y)

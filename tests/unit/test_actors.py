@@ -23,6 +23,7 @@ from repro.actors.vehicle import Actor
 from repro.dynamics.state import VehicleState
 from repro.errors import ConfigurationError
 from repro.geometry.vec import Vec2
+from repro.road.lane import FrenetPoint
 from repro.road.track import three_lane_straight_road
 
 
@@ -253,3 +254,90 @@ class TestActorValidation:
         actor = make_actor(Cruise(50.0), station=ROAD.length - 1.0, speed=50.0)
         run(actor, 2.0)
         assert actor.station == ROAD.length
+
+
+class _ReadsStateFirst:
+    """A behaviour that reads the actor's state before commanding."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.seen = []
+
+    def update(self, now, actor, context):
+        self.seen.append(actor.state)
+        return self.inner.update(now, actor, context)
+
+
+def frenet_position(actor: Actor) -> Vec2:
+    return actor.road.to_world(
+        FrenetPoint(actor.station, actor.lateral_offset)
+    )
+
+
+class TestStateSnapshot:
+    """``Actor.state`` is built once per step and dropped by ``step``."""
+
+    def test_repeated_reads_share_one_object(self):
+        actor = make_actor(Cruise(10.0))
+        assert actor.state is actor.state
+        actor.step(0.0, 0.01, context())
+        assert actor.state is actor.state
+
+    def test_step_replaces_the_snapshot(self):
+        actor = make_actor(Cruise(12.0))
+        before = actor.state
+        actor.step(0.0, 0.01, context())
+        after = actor.state
+        assert after is not before
+        assert after.position.x > before.position.x
+        assert after.accel > 0.0
+        assert after.position == frenet_position(actor)
+
+    def test_step_starting_a_lane_change_tilts_the_snapshot(self):
+        actor = make_actor(
+            TriggeredLaneChange(
+                trigger=Immediately(), target_lane=2, duration=2.0
+            ),
+            lane=1,
+        )
+        before = actor.state
+        assert before.heading == 0.0
+        actor.step(0.0, 0.01, context())
+        assert actor.changing_lanes
+        after = actor.state
+        assert after.heading > 0.0
+        assert after.speed > before.speed  # the lateral component
+        assert after.position == frenet_position(actor)
+
+    def test_state_read_inside_behaviour_is_not_kept(self):
+        behavior = _ReadsStateFirst(Cruise(12.0))
+        actor = make_actor(behavior)
+        actor.step(0.0, 0.01, context())
+        # The behaviour saw (and cached) the pre-step state; the step
+        # must not hand that snapshot out afterwards.
+        assert behavior.seen[0].position.x == 100.0
+        assert actor.state is not behavior.seen[0]
+        assert actor.state == actor._build_state()
+
+    def test_simulator_actor_map_matches_fresh_reconstruction(self):
+        from repro.scenarios.catalog import build_scenario
+        from repro.sim.simulator import SimulationConfig
+
+        checked = {"steps": 0, "changing": 0}
+
+        class Check:
+            def on_step(self, now, simulator):
+                snapshot = simulator.actor_map()
+                for actor in simulator.actors:
+                    state, spec = snapshot[actor.actor_id]
+                    assert spec is actor.spec
+                    assert state == actor._build_state()
+                    assert state.position == frenet_position(actor)
+                    checked["changing"] += actor.changing_lanes
+                checked["steps"] += 1
+
+        build_scenario("cut_in", seed=0).run(
+            hooks=[Check()], sim_config=SimulationConfig(duration=5.0)
+        )
+        assert checked["steps"] == 500
+        assert checked["changing"] > 0

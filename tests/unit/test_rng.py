@@ -141,6 +141,30 @@ class TestCounterDraws:
             0, stable_key("my.stream"), 1
         )
 
+    def test_stacked_streams_equal_separate_calls(self):
+        # A (k, 1) column of stream words against (n,) keys: row i is
+        # bit for bit the separate call on stream i — how perception
+        # draws a frame's x and y noise in one call.
+        streams = [STREAM_MISS, STREAM_NOISE_X, STREAM_NOISE_Y]
+        column = np.array(streams, dtype=np.uint64)[:, None]
+        keys = (stable_key("front_120"), time_key(2.37))
+        actors = np.array(
+            [stable_key(a) for a in ("a", "b", 7, "lead")], dtype=np.uint64
+        )
+        stacked = counter_normal(5, column, *keys, actors)
+        assert stacked.shape == (3, 4)
+        for row, stream in enumerate(streams):
+            single = counter_normal(5, stream, *keys, actors)
+            bits = stacked[row].view(np.uint64)
+            assert (bits == single.view(np.uint64)).all()
+        words = counter_hash(5, column, *keys, actors)
+        uniform = counter_uniform(5, column, *keys, actors)
+        for row, stream in enumerate(streams):
+            assert (words[row] == counter_hash(5, stream, *keys, actors)).all()
+            assert (
+                uniform[row] == counter_uniform(5, stream, *keys, actors)
+            ).all()
+
     def test_derive_seed_decorrelates(self):
         children = {derive_seed(0, s, f) for s in range(4) for f in range(4)}
         assert len(children) == 16
@@ -162,6 +186,20 @@ class TestGoldenStreams:
         assert int(STREAM_NOISE_X) == 0x9A45C810BB9C7A68
         assert int(STREAM_NOISE_Y) == 0x9A45C910BB9C7C1B
         assert int(STREAM_DERIVE) == 0xC9350D641FB3046D
+
+    def test_stable_key_pins(self):
+        # FNV-1a over UTF-8: the empty string is the offset basis; the
+        # non-ASCII string and the high byte cover multi-byte input.
+        pins = {
+            "": 0xCBF29CE484222325,
+            "front_120": 0xE6B44A840426F86E,
+            "Zhuyi 注意 — ü": 0xEF9DDC46ACF06469,
+            b"\xff\x00": 0x0A99A607B6F60BEA,
+        }
+        for value, word in pins.items():
+            key = stable_key(value)
+            assert isinstance(key, np.uint64)
+            assert int(key) == word, value
 
     def test_hash_pin(self):
         word = counter_hash(0, STREAM_MISS, stable_key("a"), time_key(1.0))
