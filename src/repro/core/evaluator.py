@@ -24,7 +24,7 @@ from repro.core.engine import LatencyEngine
 from repro.core.fpr import CameraEstimate, estimate_camera_fprs
 from repro.core.latency import BACKENDS, LatencySearch, SearchStrategy
 from repro.core.parameters import ZhuyiParams
-from repro.core.threat import EgoPathRows, ThreatAssessor
+from repro.core.threat import ThreatAssessor
 from repro.errors import EstimationError
 from repro.geometry.vec import Vec2
 from repro.perception.noise import PerceptionNoise
@@ -876,12 +876,7 @@ def evaluate_trace_block(
                         spec,
                         samples.times[gated],
                         rel_times,
-                        ego_rows=EgoPathRows(
-                            xs=ego_rows.xs[gated],
-                            ys=ego_rows.ys[gated],
-                            s=ego_rows.s[gated],
-                            d=ego_rows.d[gated],
-                        ),
+                        ego_rows=ego_rows.take(gated),
                     )
                     row_meta.append((j, actor_id, gated))
                     tick_chunks.append(gated + offset)

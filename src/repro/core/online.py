@@ -414,6 +414,9 @@ class OnlineEstimator:
             hypotheses_by_actor[actor_id] = hypotheses
 
         assessor = ThreatAssessor(params=self.params, road=self.road)
+        # Ego-side rows once per trace; every (actor, hypothesis) call
+        # takes its ticks' subset.
+        ego_rows = assessor.ego_path_rows(ego_states)
         ego_motions = [
             EgoMotion.from_state(state.speed, state.accel, self.params)
             for state in ego_states
@@ -481,6 +484,7 @@ class OnlineEstimator:
                         rollout,
                         self.assumed_actor_spec,
                         times[active],
+                        ego_rows=ego_rows.take(active),
                     )
                     solved_ticks = active[gates]
                     threat_mask[solved_ticks] = True
@@ -492,6 +496,7 @@ class OnlineEstimator:
                             self.assumed_actor_spec,
                             times[solved_ticks],
                             rel_times,
+                            ego_rows=ego_rows.take(solved_ticks),
                         )
                         if self.gap_margin > 0.0:
                             gaps = np.maximum(0.0, gaps - self.gap_margin)

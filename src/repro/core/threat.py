@@ -235,7 +235,10 @@ class TrajectoryThreat:
         at the 10 ms scale, so the snap keeps repeated per-latency scans
         cheap even on curved roads where projection is per-point; the
         trace-batched sampler (:meth:`ThreatAssessor.sample_threats_trace`)
-        applies the same quantization so both backends mask identically.
+        applies the same quantization so both backends mask identically;
+        there, a mask instant that coincides with a scan instant (on the
+        engine's 10 ms trace grids, every one does) reuses that scan
+        sample instead of interpolating the same query twice.
         """
         if self._mask is None:
             grid = np.arange(0.0, _MASK_SPAN, self._mask_step)
@@ -276,6 +279,17 @@ class EgoPathRows:
     ys: np.ndarray
     s: np.ndarray
     d: np.ndarray
+
+    def take(self, rows: np.ndarray) -> "EgoPathRows":
+        """The rows at ``rows`` (e.g. a trace's gated ticks).
+
+        Every column is elementwise in its tick, so a subset equals
+        what :meth:`ThreatAssessor.ego_path_rows` builds from the
+        subset's ego states.
+        """
+        return EgoPathRows(
+            xs=self.xs[rows], ys=self.ys[rows], s=self.s[rows], d=self.d[rows]
+        )
 
 
 @dataclass(frozen=True)
@@ -486,6 +500,7 @@ class ThreatAssessor:
         futures: RolloutArrays,
         actor_spec: VehicleSpec,
         t0s: np.ndarray,
+        ego_rows: EgoPathRows | None = None,
     ) -> np.ndarray:
         """:meth:`could_collide_trace` for *predicted* per-tick futures.
 
@@ -504,6 +519,8 @@ class ThreatAssessor:
             futures: one predicted rollout per tick
                 (:class:`repro.dynamics.state.RolloutArrays`).
             t0s: the estimation instants, aligned with ``futures`` rows.
+            ego_rows: optional precomputed :meth:`ego_path_rows` for
+                these ticks (the cross-actor ego-side cache).
 
         Returns:
             Boolean array: whether the actor could collide at each tick.
@@ -516,6 +533,7 @@ class ThreatAssessor:
             futures.times[:, -1],
             actor_spec,
             t0s,
+            ego_rows=ego_rows,
         )
 
     def sample_threat_futures(
@@ -526,6 +544,7 @@ class ThreatAssessor:
         actor_spec: VehicleSpec,
         t0s: np.ndarray,
         rel_times: np.ndarray,
+        ego_rows: EgoPathRows | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`sample_threats_trace` for *predicted* per-tick futures.
 
@@ -544,6 +563,8 @@ class ThreatAssessor:
             futures: one predicted rollout per queried tick.
             t0s: the queried estimation instants (row-aligned).
             rel_times: scan instants relative to each tick.
+            ego_rows: optional precomputed :meth:`ego_path_rows` for
+                these ticks (the cross-actor ego-side cache).
 
         Returns:
             ``(s_n, v_an)`` arrays of shape ``(len(t0s), len(rel_times))``.
@@ -555,6 +576,7 @@ class ThreatAssessor:
             actor_spec,
             t0s,
             rel_times,
+            ego_rows=ego_rows,
         )
 
     def _gate_rows(
@@ -647,7 +669,10 @@ class ThreatAssessor:
         is a per-tick :class:`TrajectoryThreat` build-and-sample —
         including the 10 ms corridor-mask quantization, whose instants
         ride the same interpolation pass as the threat scan (one
-        ``sampler`` call per batch).
+        ``sampler`` call per batch). The pass samples each distinct
+        instant once: a mask instant that coincides with a scan instant
+        (always, on the engine's trace grids) reuses that sample, and
+        duplicate scan instants share one column.
         """
         t0s = np.asarray(t0s, dtype=float)
         rel_times = np.asarray(rel_times, dtype=float)
@@ -658,7 +683,7 @@ class ThreatAssessor:
             )
         half_lengths = (ego_spec.length + actor_spec.length) / 2.0
         n_rel = rel_times.size
-        queries = t0s[:, None] + rel_times[None, :]
+        instants = rel_times
         if self.params.gate_lateral:
             # The corridor mask on the same 10 ms-quantized instants
             # the per-tick threat samples, for all ticks at once.
@@ -668,20 +693,22 @@ class ThreatAssessor:
                 0,
                 grid.size - 1,
             )
-            mask_queries = t0s[:, None] + grid[indices][None, :]
-            queries = np.concatenate([queries, mask_queries], axis=1)
-        xs, ys, speeds = sampler(queries)
+            instants = np.concatenate([rel_times, grid[indices]])
+        # Each distinct instant is sampled once. On the engine's trace
+        # grids every mask instant is bit-for-bit a scan instant, so
+        # this halves the interpolation; every element is still the
+        # same t0 + v query through the same elementwise kernels.
+        distinct, inverse = np.unique(instants, return_inverse=True)
+        scan, masked = inverse[:n_rel], inverse[n_rel:]
+        xs, ys, speeds = sampler(t0s[:, None] + distinct[None, :])
         if ego_rows is None:
             ego_rows = self.ego_path_rows(ego_states)
-        ego_xs, ego_ys = ego_rows.xs, ego_rows.ys
         distances = np.hypot(
-            xs[:, :n_rel] - ego_xs[:, None], ys[:, :n_rel] - ego_ys[:, None]
+            xs - ego_rows.xs[:, None], ys - ego_rows.ys[:, None]
         )
         gaps = np.maximum(0.0, distances - half_lengths)
-        speeds = speeds[:, :n_rel]
+        gaps = np.take(gaps, scan, axis=1)
         if self.params.gate_lateral:
-            mask_xs = xs[:, n_rel:]
-            mask_ys = ys[:, n_rel:]
             # The road branch of CorridorSpec.lateral_offsets ignores
             # the per-tick frame fields; one spec serves every tick.
             corridor = CorridorSpec(
@@ -690,22 +717,22 @@ class ThreatAssessor:
                 ego_lateral=0.0,
                 overlap_width=0.0,
             )
-            offsets = corridor.lateral_offsets(mask_xs, mask_ys)
+            offsets = corridor.lateral_offsets(xs, ys)
             # Per-tick ego laterals batch through the exact Frenet
             # kernel: to_frenet_batch is bit-identical to the scalar
             # to_frenet build_threat calls (the road/lane.py contract),
             # so a corridor-edge tick lands on the same side in both
             # backends without a per-tick scalar fallback.
-            ego_lateral = ego_rows.d
             overlap_width = (
                 (ego_spec.width + actor_spec.width) / 2.0
                 + self.params.lateral_margin
             )
             in_corridor = (
-                np.abs(offsets - ego_lateral[:, None]) <= overlap_width
+                np.abs(offsets - ego_rows.d[:, None]) <= overlap_width
             )
+            in_corridor = np.take(in_corridor, masked, axis=1)
             gaps = np.where(in_corridor, gaps, np.inf)
-        return gaps, np.ascontiguousarray(speeds)
+        return gaps, np.take(speeds, scan, axis=1)
 
     def sample_threats_trace(
         self,

@@ -61,18 +61,24 @@ def allocate_frame_budget(
     # re-distributing whatever spills over a camera's cap to the rest.
     allocation = dict(floors)
     surplus = total_budget - floor_total
-    active = {camera for camera, value in allocation.items() if value < max_fpr}
+    # A list in the estimates' order, not a set: the float sums below
+    # must not follow string-hash order (PYTHONHASHSEED).
+    active = [
+        camera for camera, value in allocation.items() if value < max_fpr
+    ]
     while surplus > 1e-9 and active:
         weight_total = sum(floors[camera] for camera in active)
         spilled = 0.0
-        for camera in list(active):
+        for camera in active:
             share = surplus * floors[camera] / weight_total
             headroom = max_fpr - allocation[camera]
             granted = min(share, headroom)
             allocation[camera] += granted
             spilled += share - granted
-            if allocation[camera] >= max_fpr - 1e-12:
-                active.discard(camera)
+        active = [
+            camera for camera in active
+            if allocation[camera] < max_fpr - 1e-12
+        ]
         surplus = spilled
     return allocation
 

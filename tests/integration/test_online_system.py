@@ -1,5 +1,10 @@
 """The Zhuyi-based online system in the closed loop."""
 
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro import build_scenario
@@ -113,3 +118,70 @@ class TestWorkPrioritization:
             if record.applied_rates is None:
                 continue
             assert sum(record.applied_rates.values()) <= 36.0 + 1e-6
+
+
+#: One monitored cell, its records printed in full (floats as repr).
+#: cut_out_fast at jitter seed 4 is a cell whose budget allocation
+#: once followed string-hash order: its records differed between
+#: PYTHONHASHSEED=0 and 1.
+_MONITORED_CELL = textwrap.dedent(
+    """
+    from repro import build_scenario
+    from repro.core.aggregation import PercentileAggregator
+    from repro.core.online import OnlineEstimator
+    from repro.core.parameters import ZhuyiParams
+    from repro.prediction.maneuver import ManeuverPredictor
+    from repro.system import (
+        SafetyChecker, WorkPrioritizer, ZhuyiOnlineSystem,
+    )
+
+    scenario = build_scenario("cut_out_fast", seed=4)
+    system = ZhuyiOnlineSystem(
+        estimator=OnlineEstimator(
+            params=ZhuyiParams(),
+            predictor=ManeuverPredictor(
+                road=scenario.road, target_lane=scenario.spec.ego_lane
+            ),
+            road=scenario.road,
+            aggregator=PercentileAggregator(90.0),
+        ),
+        checker=SafetyChecker(),
+        prioritizer=WorkPrioritizer(
+            total_budget=36.0, cameras=("front_120", "left", "right")
+        ),
+        period=0.1,
+    )
+    trace = scenario.run(fpr=12.0, hooks=[system])
+    for record in system.records:
+        tick = record.tick
+        print(
+            repr(tick.time),
+            sorted(tick.actor_latencies.items()),
+            sorted(record.applied_rates.items()),
+            [alarm.camera for alarm in record.verdict.alarms],
+        )
+    print(trace.has_collision, repr(trace.duration))
+    """
+)
+
+
+@pytest.mark.slow
+class TestHashSeedIndependence:
+    def _records(self, hash_seed: str) -> str:
+        result = subprocess.run(
+            [sys.executable, "-c", _MONITORED_CELL],
+            capture_output=True,
+            text=True,
+            env={
+                "PYTHONPATH": str(Path(__file__).resolve().parents[2] / "src"),
+                "PYTHONHASHSEED": hash_seed,
+                "PATH": "/usr/bin:/bin",
+            },
+        )
+        assert result.returncode == 0, result.stderr
+        return result.stdout
+
+    def test_monitored_records_ignore_pythonhashseed(self):
+        records = self._records("0")
+        assert records.count("\n") > 100
+        assert records == self._records("1")

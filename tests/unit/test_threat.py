@@ -28,6 +28,77 @@ def straight_trajectory(x0: float, y: float, speed: float,
     )
 
 
+class RecordingSampler:
+    """Wraps a trajectory or rollout batch, recording every query grid."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.queries = []
+
+    def sample_extrapolated(self, queries):
+        self.queries.append(np.array(queries))
+        return self.inner.sample_extrapolated(queries)
+
+
+def curved_cut_in(road, s0: float, t_start: float = 0.0) -> StateTrajectory:
+    """An actor merging from the left lane into the centre lane of a curve."""
+    from repro.road.lane import FrenetPoint
+
+    knots = []
+    for k in range(61):
+        t = t_start + 0.25 * k
+        s = s0 + 12.0 * (t - t_start)
+        d = max(0.0, 3.5 - 0.6 * (t - t_start))
+        position = road.to_world(FrenetPoint(s, d))
+        knots.append(
+            TimedState(t, vstate(position.x, position.y, speed=12.0))
+        )
+    return StateTrajectory(knots)
+
+
+def curved_setup():
+    """A curved road, per-tick ego states on it and the engine's instants.
+
+    ``rel_times`` is what the evaluator and replay pass the row
+    samplers: the engine's trace grid times followed by the reaction
+    times.
+    """
+    from repro.core.ego_profile import EgoMotion
+    from repro.core.engine import LatencyEngine
+    from repro.road.lane import FrenetPoint
+    from repro.road.track import three_lane_curved_road
+
+    params = ZhuyiParams()
+    road = three_lane_curved_road(entry_length=50.0)
+    assessor = ThreatAssessor(params=params, road=road)
+    t0s = np.arange(0.0, 6.0, 0.5)
+    ego_states = []
+    for t in t0s:
+        position = road.to_world(FrenetPoint(30.0 + 20.0 * t, 0.2))
+        ego_states.append(vstate(position.x, position.y, speed=20.0))
+    motions = [
+        EgoMotion.from_state(state.speed, state.accel, params)
+        for state in ego_states
+    ]
+    grid = LatencyEngine(params=params).trace_grid(motions, 1.0 / 30.0)
+    rel_times = np.concatenate([grid.times, grid.reactions])
+    return assessor, t0s, ego_states, rel_times
+
+
+#: Duplicate scan instants, off-grid instants and instants past the
+#: corridor mask's span (whose mask instants clamp to its last sample).
+ODD_REL_TIMES = np.array(
+    [0.0, 0.37, 0.37, 1.0, 1.0049, 7.0, 7.0, 24.99, 25.0, 30.0, 30.0]
+)
+
+
+def distinct_instants(rel_times: np.ndarray) -> int:
+    """How many distinct scan and corridor-mask instants there are."""
+    grid = np.arange(0.0, 25.0, 0.01)
+    snapped = np.clip(np.rint(rel_times / 0.01).astype(int), 0, grid.size - 1)
+    return np.unique(np.concatenate([rel_times, grid[snapped]])).size
+
+
 class TestFixedGapThreat:
     def test_constant_queries(self):
         threat = FixedGapThreat(gap=30.0, actor_speed=5.0)
@@ -268,6 +339,29 @@ class TestTraceSampler:
             assert np.array_equal(gaps[n], tick_gaps), t0
             assert np.array_equal(speeds[n], tick_speeds), t0
 
+    def test_engine_instants_on_a_curve_sample_once(self):
+        assessor, t0s, ego_states, rel_times = curved_setup()
+        # Every corridor-mask instant is one of the scan instants, so
+        # the sampler sees one column per scan instant, not two.
+        assert distinct_instants(rel_times) == rel_times.size
+        trajectory = curved_cut_in(assessor.road, s0=60.0)
+        for rel in (rel_times, ODD_REL_TIMES):
+            recorder = RecordingSampler(trajectory)
+            gaps, speeds = assessor.sample_threats_trace(
+                ego_states, self.spec, recorder, self.spec, t0s, rel
+            )
+            assert [q.shape for q in recorder.queries] == [
+                (t0s.size, distinct_instants(rel))
+            ]
+            for n, (state, t0) in enumerate(zip(ego_states, t0s)):
+                threat = assessor.build_threat(
+                    state, self.spec, trajectory, self.spec, t0=float(t0)
+                )
+                tick_gaps, tick_speeds = threat.sample(rel)
+                assert np.array_equal(gaps[n], tick_gaps), (rel.size, t0)
+                assert np.array_equal(speeds[n], tick_speeds), (rel.size, t0)
+        assert np.isinf(gaps).any() and np.isfinite(gaps).any()
+
     def test_requires_road_when_gated(self):
         assessor = ThreatAssessor(params=ZhuyiParams(), road=None)
         trajectory = straight_trajectory(30.0, 0.0, speed=5.0)
@@ -468,6 +562,55 @@ class TestFuturesBatch:
             ref_gaps, ref_speeds = threat.sample(rel_times)
             assert np.array_equal(gaps[i], ref_gaps), i
             assert np.array_equal(speeds[i], ref_speeds), i
+
+    def test_engine_instants_on_a_curve_sample_once(self):
+        spec = VehicleSpec()
+        assessor, t0s, ego_states, rel_times = curved_setup()
+        futures = [
+            curved_cut_in(assessor.road, s0=60.0 + 15.0 * t0, t_start=t0)
+            for t0 in t0s
+        ]
+        for rel in (rel_times, ODD_REL_TIMES):
+            recorder = RecordingSampler(self.rollout_rows(futures))
+            gaps, speeds = assessor.sample_threat_futures(
+                ego_states, spec, recorder, spec, t0s, rel
+            )
+            assert [q.shape for q in recorder.queries] == [
+                (t0s.size, distinct_instants(rel))
+            ]
+            for i, t0 in enumerate(t0s):
+                threat = assessor.build_threat(
+                    ego_states[i], spec, futures[i], spec, t0=float(t0)
+                )
+                ref_gaps, ref_speeds = threat.sample(rel)
+                assert np.array_equal(gaps[i], ref_gaps), (rel.size, i)
+                assert np.array_equal(speeds[i], ref_speeds), (rel.size, i)
+        assert np.isinf(gaps).any() and np.isfinite(gaps).any()
+
+    def test_precomputed_ego_rows_change_nothing(self):
+        spec = VehicleSpec()
+        assessor, t0s, ego_states, rel_times = curved_setup()
+        futures = self.rollout_rows(
+            [
+                curved_cut_in(assessor.road, s0=60.0 + 15.0 * t0, t_start=t0)
+                for t0 in t0s
+            ]
+        )
+        rows = np.array([1, 4, 5, 9])
+        args = ([ego_states[i] for i in rows], spec, futures.take(rows), spec)
+        ego_rows = assessor.ego_path_rows(ego_states).take(rows)
+        assert np.array_equal(
+            assessor.could_collide_futures(*args, t0s[rows]),
+            assessor.could_collide_futures(
+                *args, t0s[rows], ego_rows=ego_rows
+            ),
+        )
+        built = assessor.sample_threat_futures(*args, t0s[rows], rel_times)
+        cached = assessor.sample_threat_futures(
+            *args, t0s[rows], rel_times, ego_rows=ego_rows
+        )
+        assert np.array_equal(built[0], cached[0])
+        assert np.array_equal(built[1], cached[1])
 
     def test_sampling_requires_road_when_gating(self):
         spec = VehicleSpec()
