@@ -2,8 +2,8 @@
 
 Each performance benchmark writes its own machine-readable report under
 ``benchmarks/out/`` (``engine_speedup.json``, ``online_speedup.json``,
-``perception_speedup.json``, ``campaign_batch_speedup.json``,
-``store_speedup.json``, ``perception_noise.json``, ...). This script
+``perception_speedup.json``, ``store_speedup.json``,
+``perception_noise.json``, ...). This script
 merges them into ``benchmarks/out/BENCH_summary.json`` — one headline
 row per artifact: the measured speedup (or overhead), the asserted
 floor where the benchmark has one, and the parity status — so a single

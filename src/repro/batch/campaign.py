@@ -91,11 +91,12 @@ class Campaign:
         provisioned_fpr: per-camera provision for the fraction column.
         cameras: cameras entering the total-demand summaries.
         backend: latency-solver backend every run evaluates with:
-            the ``"batched"`` array kernel, the ``"scalar"`` reference
-            loop, or ``"crosstrace"`` — the batched kernels lifted
-            across whole blocks of cells, solved together per worker
-            via :func:`repro.batch.runner.execute_supercell`.
-            Summaries are byte-identical across all three.
+            ``"batched"`` — the array path, whole blocks of cells
+            solved together per worker via
+            :func:`repro.batch.runner.execute_supercell` — or the
+            ``"scalar"`` reference loop. ``"crosstrace"`` is a legacy
+            name for ``"batched"``. Summaries are byte-identical
+            across backends.
         noise: optional evaluation-time stochastic perception
             (:class:`~repro.perception.noise.PerceptionNoise`). Each
             (scenario, seed, fpr) cell evaluates under a child seed

@@ -10,8 +10,11 @@ any summary. The runner exploits that three ways:
 * Runs sharing a (scenario, seed, fpr) **cell** differ only in their
   ``ZhuyiParams`` variant, which the closed-loop simulation never
   reads; the cell's trace is simulated once and re-evaluated per
-  variant (:func:`execute_cell`), turning an N-variant campaign into
-  ~1 simulation + N cheap offline evaluations.
+  variant, turning an N-variant campaign into ~1 simulation + N cheap
+  offline evaluations. Consecutive cells run as **super-cells**
+  (:func:`execute_supercell`): on the array backends their traces and
+  variants evaluate together in one
+  :func:`repro.core.evaluator.evaluate_trace_block`.
 * With ``out=`` the runner streams each summary to JSONL the moment it
   completes (via :class:`repro.batch.results.CampaignWriter`), so a
   killed campaign keeps its finished runs and :meth:`CampaignRunner.resume`
@@ -53,6 +56,12 @@ from repro.errors import ConfigurationError
 
 #: Called after each completed run with (done, total, summary).
 ProgressHook = Callable[[int, int, RunSummary], None]
+
+#: Cells per :func:`execute_supercell` block. Larger blocks amortize
+#: the block kernel over more traces but hold more traces (and their
+#: presamples) in a worker's memory at once, and coarsen the parallel
+#: path's scheduling.
+SUPERCELL = 4
 
 
 def _failure_summary(
@@ -184,7 +193,11 @@ def _success_summary(spec: RunSpec, series, trace) -> RunSummary:
 def _evaluate_cell(
     specs: Sequence[RunSpec], built, trace
 ) -> list[RunSummary]:
-    """Evaluate a simulated cell's trace per variant (per-cell path)."""
+    """Evaluate a simulated cell's trace one variant at a time.
+
+    :func:`execute_cell`'s path, scalar super-cells' path, and the
+    block kernel's failure fallback: a failing variant fails alone.
+    """
     summaries = []
     samples = None  # strides are cell-uniform: one sampling per cell
     for spec in specs:
@@ -237,12 +250,13 @@ def execute_cell(
     ``ZhuyiParams`` variants enter nothing but the offline evaluator,
     which is a pure function of (trace, params). So the cell simulates
     its trace once, presamples the trajectories once (also
-    param-independent) and evaluates per variant. With a single variant
-    this is exactly the old one-run-one-simulation path; with N
-    variants it is the cross-variant trace cache. A ``store`` extends
-    the cache across campaigns: the cell loads its recorded trace when
-    present and records it otherwise (see :func:`_simulate_cell`), with
-    byte-identical summaries either way.
+    param-independent) and evaluates each variant through
+    :meth:`OfflineEvaluator.evaluate` (on the array backends a
+    one-trace block). Summaries equal a one-cell
+    :func:`execute_supercell`'s; campaigns run supercells. A ``store``
+    extends the cache across campaigns: the cell loads its recorded
+    trace when present and records it otherwise (see
+    :func:`_simulate_cell`), with byte-identical summaries either way.
 
     Args:
         specs: the cell's runs — same scenario, seed, fpr and stride,
@@ -275,23 +289,21 @@ def execute_supercell(
     cells: Sequence[Sequence[RunSpec]],
     store: "TraceStore | None" = None,
 ) -> list[RunSummary]:
-    """Run a block of cells through the cross-trace evaluation kernel.
+    """Run a block of cells, evaluating their traces together.
 
-    The ``"crosstrace"`` backend's unit of work: each cell still
-    simulates its own trace (choreographies are independent), but the
+    The runner's unit of work: each cell still simulates its own trace
+    (choreographies are independent), but on the array backends the
     surviving traces evaluate *together* — every (trace, tick, actor,
     variant) row of the block solves through the shared array programs
     of :func:`repro.core.evaluator.evaluate_trace_block`, amortizing
     the candidate grids, visibility passes and ego profiles across the
-    whole block. Summaries are byte-identical to per-cell
-    :func:`execute_cell` execution (the block kernel's parity
-    contract).
+    whole block. Scalar campaigns evaluate cell by cell through the
+    reference loop. Summaries are byte-identical either way.
 
-    Never raises, like :func:`execute_cell`: contract violations,
-    simulation failures and collisions resolve per cell exactly as
-    there, and if the block kernel itself fails the surviving cells
-    fall back to the per-cell batched evaluation (keeping per-variant
-    failure granularity).
+    Never raises: contract violations, simulation failures and
+    collisions resolve per cell, and if the block kernel itself fails
+    the surviving cells fall back to evaluating one variant at a time
+    (keeping per-variant failure granularity).
 
     Args:
         cells: the block's cells, each a single-cell spec list sharing
@@ -335,7 +347,15 @@ def _evaluate_supercell(
     results: list[list[RunSummary]],
     survivors: list[tuple[int, Sequence[RunSpec], object, object]],
 ) -> list[list[RunSummary]]:
-    """Evaluate a supercell's surviving traces through the block kernel."""
+    """Evaluate a supercell's surviving traces.
+
+    Scalar campaigns go cell by cell through :func:`_evaluate_cell`;
+    the array backends through one block kernel call.
+    """
+    if survivors and survivors[0][1][0].backend == "scalar":
+        for pos, specs, built, trace in survivors:
+            results[pos] = _evaluate_cell(specs, built, trace)
+        return results
     if survivors:
         lead = survivors[0][1]
         variants = [spec.resolved_params() for spec in lead]
@@ -375,10 +395,9 @@ def _evaluate_supercell(
                     for spec, series in zip(specs, series_row)
                 ]
         except Exception:  # noqa: BLE001 - block-level failure capture
-            # The parity reference doubles as the failure fallback: a
-            # block kernel error demotes the surviving cells to the
-            # per-cell batched path, which keeps per-variant failure
-            # granularity instead of failing the whole block.
+            # A block kernel error demotes the surviving cells to
+            # one-variant-at-a-time evaluation, which keeps per-variant
+            # failure granularity instead of failing the whole block.
             for pos, specs, built, trace in survivors:
                 results[pos] = _evaluate_cell(specs, built, trace)
     return results
@@ -457,8 +476,8 @@ class _OrderedSink:
     the on-disk line order deterministic (and hence resumable files
     byte-comparable to uninterrupted ones). The buffer is bounded by
     the executor's admission control: at most ``max_pending`` tasks
-    are in flight, each completing at most ``supercell x variants``
-    summaries, so no more than ``max_pending x supercell x variants``
+    are in flight, each completing at most ``SUPERCELL x variants``
+    summaries, so no more than ``max_pending x SUPERCELL x variants``
     summaries ever wait here for an earlier index.
     """
 
@@ -496,11 +515,6 @@ class CampaignRunner:
         workers: 1 runs in-process; N > 1 fans out over N processes.
         max_pending: cap on simultaneously submitted tasks (bounds the
             executor's memory on very large grids).
-        supercell: on the ``"crosstrace"`` backend, how many cells one
-            :func:`execute_supercell` block evaluates together through
-            the shared cross-trace kernels. 1 degenerates to per-cell
-            execution; larger blocks amortize more but hold more traces
-            in a worker's memory at once. Other backends ignore it.
         store: optional :class:`repro.store.TraceStore`. Cells consult
             it before simulating and record their traces on miss, so a
             campaign only ever simulates each ``(scenario, seed, fpr)``
@@ -512,7 +526,6 @@ class CampaignRunner:
 
     workers: int = 1
     max_pending: int = 256
-    supercell: int = 4
     store: "TraceStore | None" = None
 
     def __post_init__(self) -> None:
@@ -522,8 +535,6 @@ class CampaignRunner:
             )
         if self.max_pending < 1:
             raise ConfigurationError("max_pending must be at least 1")
-        if self.supercell < 1:
-            raise ConfigurationError("supercell must be at least 1")
 
     def run(
         self,
@@ -698,33 +709,19 @@ class CampaignRunner:
     ) -> list[tuple[Callable, object, list[RunSpec]]]:
         """The executable units of a spec list, in run order.
 
-        Per-cell :func:`execute_cell` calls normally; on the
-        ``"crosstrace"`` backend (a campaign-level setting, so the
-        first spec decides), :func:`execute_supercell` blocks of up to
-        :attr:`supercell` cells. Each task carries its flat spec list
-        for worker-crash failure capture.
+        :func:`execute_supercell` blocks of up to :data:`SUPERCELL`
+        cells. Each task carries its flat spec list for worker-crash
+        failure capture.
         """
-        cells = _group_cells(specs)
-        run_cell = (
-            execute_cell
+        run_block = (
+            execute_supercell
             if self.store is None
-            else partial(execute_cell, store=self.store)
+            else partial(execute_supercell, store=self.store)
         )
-        if specs and specs[0].backend == "crosstrace":
-            run_block = (
-                execute_supercell
-                if self.store is None
-                else partial(execute_supercell, store=self.store)
-            )
-            return [
-                (
-                    run_block,
-                    block,
-                    [spec for cell in block for spec in cell],
-                )
-                for block in _group_supercells(cells, self.supercell)
-            ]
-        return [(run_cell, cell, list(cell)) for cell in cells]
+        return [
+            (run_block, block, [spec for cell in block for spec in cell])
+            for block in _group_supercells(_group_cells(specs), SUPERCELL)
+        ]
 
     def _run_sequential(
         self,

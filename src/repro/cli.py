@@ -582,10 +582,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=list(BACKENDS),
         default="batched",
-        help="latency-solver backend: the batched array kernel "
-        "(default), the scalar reference loop, or crosstrace — "
-        "whole blocks of cells solved through shared cross-trace "
-        "kernels — identical results",
+        help="latency-solver backend: the batched array path "
+        "(default) or the scalar reference loop; crosstrace is a "
+        "legacy name for batched — identical results",
     )
     campaign.add_argument(
         "--miss-rate",

@@ -8,19 +8,21 @@ profile, re-samples the threat and scans for a feasible check time.
 Offline evaluation multiplies that by every actor at every trace tick —
 the dominant interpreter overhead of a campaign.
 
-This module replaces the inner loops with one array program per tick:
+This module replaces the inner loops with one array program over
+``(tick, actor)`` rows — a tick's actors, a trace's gated rows, or a
+whole campaign block of them:
 
 * Latency candidates only shift the reaction time ``t_r``, so the whole
   family of ego distance/speed profiles is a single broadcasted
-  ``(L, T)`` computation over a shared master time grid
+  ``(L, T)`` computation per tick over a shared master time grid
   (:func:`repro.core.ego_profile.ego_profile_arrays`).
-* Each actor's threat is sampled once over that master grid (plus the
+* Each row's threat is sampled once over that master grid (plus the
   ``L`` reaction instants) instead of once per candidate
-  (:func:`repro.core.threat.sample_grid`).
+  (:func:`repro.core.threat.sample_grid`, or the assessor's row
+  samplers).
 * Eq 1/2 feasibility, the strict-prefix mask and the per-candidate scan
-  windows evaluate simultaneously as ``(A, L, T)`` boolean arrays for
-  all actors of a tick; the largest feasible latency falls out of a
-  single argmax per actor.
+  windows evaluate simultaneously as ``(R, L, T)`` boolean arrays; the
+  largest feasible latency falls out of a single argmax per row.
 
 Exact-parity contract: results are **bit-identical** to the scalar
 EXACT search — ``latency``, ``check_time`` *and* the ``iterations``
@@ -95,27 +97,6 @@ def _reaction_anchors(
 
 
 @dataclass(frozen=True)
-class _TickGrid:
-    """Per-(ego, l0) precomputation shared by every actor of a tick.
-
-    Everything here depends only on the ego state and the current
-    processing latency — never on an actor — so one grid serves a whole
-    tick's actor batch. Only the cheap scalar bookkeeping is eager; the
-    ``(L, T)`` ego profile family is materialized per candidate slice
-    inside :meth:`LatencyEngine._solve_slice`, so a tick whose actors
-    all resolve at ``l_max`` never pays for the other L-1 rows.
-    """
-
-    latencies: np.ndarray  #: (L,) candidate latencies, descending
-    reactions: np.ndarray  #: (L,) reaction time t_r per candidate
-    times: np.ndarray  #: (T,) master scan grid (candidate grids are prefixes)
-    lengths: np.ndarray  #: (L,) per-candidate prefix length on the master grid
-    insert_at: np.ndarray  #: (L,) sorted position of t_r within the prefix
-    inserted: np.ndarray  #: (L,) bool: t_r occupies its own merged slot
-    sizes: np.ndarray  #: (L,) merged scan size (length + inserted)
-
-
-@dataclass(frozen=True)
 class TraceGrid:
     """Trace-level candidate/time bookkeeping for every tick at once.
 
@@ -135,27 +116,16 @@ class TraceGrid:
     inserted: np.ndarray  #: (N, L) bool: t_r occupies its own merged slot
     sizes: np.ndarray  #: (N, L) merged scan size (length + inserted)
 
-    def tick(self, n: int) -> _TickGrid:
-        """The single-tick view — drives the per-tick wave machinery."""
-        return _TickGrid(
-            latencies=self.latencies,
-            reactions=self.reactions,
-            times=self.times,
-            lengths=self.lengths[n],
-            insert_at=self.insert_at,
-            inserted=self.inserted[n],
-            sizes=self.sizes[n],
-        )
-
 
 @dataclass
 class LatencyEngine:
-    """Batched per-tick tolerable-latency solver.
+    """Batched tolerable-latency solver.
 
     Drop-in equivalent of the scalar EXACT :class:`LatencySearch` —
     same :class:`LatencyResult`, bit-identical values — evaluated as
-    one vectorized program over the full latency grid, and over every
-    actor of a tick at once via :meth:`solve_batch`.
+    one vectorized program over the full latency grid. Every solve goes
+    through :meth:`trace_grid` + :meth:`solve_rows`; :meth:`solve_batch`
+    is the one-tick entry point over threat objects.
 
     Attributes:
         params: the Zhuyi constants.
@@ -192,15 +162,19 @@ class LatencyEngine:
         """
         if not threats:
             return []
-        grid = self._tick_grid(ego, l0)
-
-        # One flattened sample per actor covers both the master grid
-        # and the L reaction instants.
+        # A one-tick trace grid: every row sits on tick 0. One flattened
+        # sample per actor covers both the master grid and the L
+        # reaction instants.
+        grid = self.trace_grid([ego], l0)
         all_times = np.concatenate([grid.times, grid.reactions])
         sampled = [sample_grid(threat, all_times) for threat in threats]
-        gaps = np.stack([g for g, _ in sampled])  # (A, T + L)
-        aspeeds = np.stack([s for _, s in sampled])
-        return self._solve_tick(grid, ego, gaps, aspeeds)
+        return self.solve_rows(
+            grid,
+            np.zeros(len(threats), dtype=np.int64),
+            [ego],
+            np.stack([g for g, _ in sampled]),  # (A, T + L)
+            np.stack([s for _, s in sampled]),
+        )
 
     @staticmethod
     def _waves(n_latencies: int) -> list[tuple[int, int]]:
@@ -224,54 +198,6 @@ class LatencyEngine:
             width *= 2
         return waves
 
-    def _solve_tick(
-        self,
-        grid: _TickGrid,
-        ego: EgoMotion,
-        gaps: np.ndarray,
-        aspeeds: np.ndarray,
-    ) -> list[LatencyResult]:
-        """Wave loop over one tick's actor rows (arrays ``(R, T + L)``).
-
-        Iterations accumulate every merged grid scanned before the hit,
-        exactly like the scalar loop.
-        """
-        n_times = grid.times.size
-        gaps_m, gaps_r = gaps[:, :n_times], gaps[:, n_times:]
-        va_m, va_r = aspeeds[:, :n_times], aspeeds[:, n_times:]
-        miss_prefix = np.concatenate([[0], np.cumsum(grid.sizes)])
-        results: list[LatencyResult | None] = [None] * gaps.shape[0]
-        active = np.arange(gaps.shape[0])
-        for lo, hi in self._waves(grid.latencies.size):
-            if active.size == 0:
-                break
-            found, hit, check_times, scanned = self._solve_slice(
-                grid,
-                lo,
-                hi,
-                ego,
-                gaps_m[active],
-                va_m[active],
-                gaps_r[active, lo:hi],
-                va_r[active, lo:hi],
-            )
-            for k in np.flatnonzero(found):
-                row = int(active[k])
-                h = lo + int(hit[k])
-                results[row] = LatencyResult(
-                    latency=float(grid.latencies[h]),
-                    check_time=float(check_times[k]),
-                    iterations=int(miss_prefix[h] + scanned[k]),
-                )
-            active = active[~found]
-        for row in active:
-            results[int(row)] = LatencyResult(
-                latency=None,
-                check_time=None,
-                iterations=int(miss_prefix[-1]),
-            )
-        return results
-
     # ------------------------------------------------------------------
     # trace-level batching (the "ticks" axis)
     # ------------------------------------------------------------------
@@ -284,17 +210,17 @@ class LatencyEngine:
         The reactions are tick-independent; the per-tick horizons (and
         the prefix lengths / ``t_r`` insertions they induce) vectorize
         over ticks with the same closed forms the scalar path evaluates
-        one call at a time, so :meth:`TraceGrid.tick` views are
-        bit-identical to per-tick :meth:`_tick_grid` builds.
+        one call at a time, so each tick's row is bit-identical to a
+        one-tick ``trace_grid([ego], l0)`` build.
 
         Cross-trace stacking: ``ego_motions`` may concatenate the ticks
-        of *many* traces (sharing ``l0``) along the tick axis — the
-        campaign super-cell path does exactly that. Every per-tick
-        quantity above is a pure function of that tick's ego state, and
-        the master ``times`` grid only grows a longer tail (``arange``
-        values are ``i * step`` regardless of the stop), so each tick's
-        prefix — and hence every :meth:`solve_rows` answer — is
-        bit-identical whether its trace was gridded alone or stacked.
+        of *many* traces (sharing ``l0``) along the tick axis. Every
+        per-tick quantity above is a pure function of that tick's ego
+        state, and the master ``times`` grid only grows a longer tail
+        (``arange`` values are ``i * step`` regardless of the stop), so
+        each tick's prefix — and hence every :meth:`solve_rows` answer
+        — is bit-identical whether its trace was gridded alone or
+        stacked.
         """
         params = self.params
         cap = params.ego_speed_cap
@@ -375,14 +301,13 @@ class LatencyEngine:
         over ``concatenate([grid.times, grid.reactions])`` (shape
         ``(R, T + L)``). The l_max candidate — where most rows of most
         workloads resolve — is evaluated for every row in one
-        cross-tick array program; only the survivors fall back to the
-        per-tick wave machinery, sharing the already-sampled rows.
-        Rows need not be unique per (tick, actor): the online replay
-        feeds one row per (tick, actor, prediction hypothesis), each
-        solved independently against its tick's ego profile — and the
-        cross-trace campaign path feeds one row per (trace, tick,
-        actor, parameter variant), with ``tick_indices`` offset into a
-        stacked multi-trace :meth:`trace_grid`.
+        cross-tick array program; only the survivors go on to the
+        later waves, sharing the already-sampled rows. Rows need not
+        be unique per (tick, actor): :meth:`solve_batch` feeds one
+        tick's actors, the online replay one row per (tick, actor,
+        prediction hypothesis), each solved independently against its
+        tick's ego profile — and the offline block path one row per
+        (tick, actor, parameter variant) of a trace.
 
         Args:
             grid: the :meth:`trace_grid` for these ticks.
@@ -391,7 +316,7 @@ class LatencyEngine:
             gaps / aspeeds: (R, T + L) threat samples per row.
             constraints: optional per-row ``(c1, c2)`` arrays of shape
                 ``(R,)``, overriding ``params.c1``/``params.c2`` — the
-                variant axis of the cross-trace campaign kernel. Every
+                variant axis of the offline block kernel. Every
                 other constant (the latency grid, ``k``, the ego
                 profile, gating) still comes from ``params``, so only
                 variants differing in nothing but c1/c2 may stack.
@@ -430,14 +355,18 @@ class LatencyEngine:
         for lo, hi in self._waves(grid.latencies.size):
             if active.size == 0:
                 break
-            if active.size >= _GROUPED_MIN_ROWS_PER_TICK * np.unique(
-                tick_indices[active]
-            ).size:
+            n_ticks = np.unique(tick_indices[active]).size
+            if (
+                n_ticks == 1
+                or active.size >= _GROUPED_MIN_ROWS_PER_TICK * n_ticks
+            ):
                 # Tick-dense waves — many rows per distinct tick, the
                 # shape of variant-stacked campaign blocks — go through
                 # the tick-resident kernel: one (S, T) profile stays
                 # cache-hot while every row of its tick compares against
-                # it, with no (R, S, T) gather copies at all.
+                # it, with no (R, S, T) gather copies at all. A
+                # single-tick wave (every solve_batch call) has nothing
+                # to gather across ticks, so it always goes this way.
                 found, hit, check_times, scanned = self._solve_rows_grouped(
                     grid,
                     lo,
@@ -680,7 +609,7 @@ class LatencyEngine:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Candidates ``[lo, hi)`` for rows spanning many ticks.
 
-        The cross-tick generalization of :meth:`_solve_slice`: ego
+        The gathered kernel for row batches spanning many ticks: ego
         profile slices are built once per distinct tick and gathered to
         rows, the feasibility program runs as one ``(R, S, T)`` batch,
         and the ``t_r``-insertion bookkeeping indexes per (row,
@@ -690,8 +619,11 @@ class LatencyEngine:
         its first ``t_cap`` instants (``gaps_m``/``va_m`` must arrive
         pre-sliced to match); it must cover every row's candidate
         lengths, in which case the trim is invisible to the results
-        because all trimmed instants were ``valid``-masked anyway. Same
-        returns as :meth:`_solve_slice`.
+        because all trimmed instants were ``valid``-masked anyway.
+        Returns per-row arrays ``(found, hit, check_time, scanned)``:
+        whether some candidate in the slice is feasible, the first
+        feasible slice-local candidate index, its check time, and how
+        many merged grid points that candidate's scan consumed.
         """
         if constraints is None:
             c1: float | np.ndarray = self.params.c1
@@ -779,111 +711,3 @@ class LatencyEngine:
             times[np.minimum(master_index, n_times - 1)],
         )
         return found, hit, check_times, best + 1
-
-    def _solve_slice(
-        self,
-        grid: _TickGrid,
-        lo: int,
-        hi: int,
-        ego: EgoMotion,
-        gaps_m: np.ndarray,
-        va_m: np.ndarray,
-        gaps_r: np.ndarray,
-        va_r: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Feasibility of candidates ``[lo, hi)`` for a batch of actors.
-
-        Returns per-actor arrays ``(found, hit, check_time, scanned)``:
-        whether some candidate in the slice is feasible, the first
-        feasible slice-local candidate index, its check time, and how
-        many merged grid points that candidate's scan consumed.
-        """
-        c1, c2 = self.params.c1, self.params.c2
-        cap = self.params.ego_speed_cap
-        n_times = grid.times.size
-
-        # The slice's ego profile family, materialized on demand; the
-        # scalar reaction-travel anchors are computed once and shared
-        # between the grid rows and the t_r point evaluation.
-        reactions = grid.reactions[lo:hi]
-        anchors = _reaction_anchors(ego, reactions, cap)
-        ego_distance, ego_speed = ego_profile_arrays(
-            ego,
-            reactions[:, None],
-            grid.times,
-            cap,
-            anchors=(anchors[0][:, None], anchors[1][:, None]),
-        )
-        ego_distance_r, ego_speed_r = ego_profile_arrays(
-            ego, reactions, reactions, cap, anchors=anchors
-        )
-        window = grid.times[None, :] >= reactions[:, None] - _EPS
-        valid = (
-            np.arange(n_times)[None, :] < grid.lengths[lo:hi, None]
-        )
-
-        # Eq 1/2 feasibility for every (actor, candidate, instant).
-        d_ok = ego_distance[None] <= c1 * gaps_m[:, None, :] + _EPS
-        v_ok = ego_speed[None] <= c2 * va_m[:, None, :] + _EPS
-        candidate = d_ok & v_ok & window[None] & valid[None]
-        d_bad = ~d_ok & valid[None]
-
-        # First indices on the master grid, then mapped onto the merged
-        # (t_r-inserted) grid the scalar search scans.
-        ins = grid.inserted[None, lo:hi]
-        pos = grid.insert_at[None, lo:hi]
-        fv_m = _first_true(d_bad)  # (A, hi - lo)
-        cf_m = _first_true(candidate)
-        first_violation = np.where(
-            fv_m != _NO_INDEX, fv_m + (ins & (fv_m >= pos)), _NO_INDEX
-        )
-        first_candidate = np.where(
-            cf_m != _NO_INDEX, cf_m + (ins & (cf_m >= pos)), _NO_INDEX
-        )
-
-        # The t_r sample itself (t_n = t_r is always inside the window).
-        d_ok_r = ego_distance_r[None] <= c1 * gaps_r + _EPS
-        v_ok_r = ego_speed_r[None] <= c2 * va_r + _EPS
-        first_violation = np.minimum(
-            first_violation, np.where(ins & ~d_ok_r, pos, _NO_INDEX)
-        )
-        first_candidate = np.minimum(
-            first_candidate, np.where(ins & d_ok_r & v_ok_r, pos, _NO_INDEX)
-        )
-
-        feasible = first_candidate < _NO_INDEX
-        if self.strict:
-            # Strict prefix: every merged index at or past the first
-            # distance violation is masked out, so only a candidate
-            # strictly before it survives.
-            feasible &= first_candidate < first_violation
-
-        found = feasible.any(axis=-1)
-        hit = feasible.argmax(axis=-1)
-        rows = np.arange(feasible.shape[0])
-        best = first_candidate[rows, hit]
-
-        # Check times: merged index ``pos`` is the inserted t_r when an
-        # insertion happened (master indices then map around it).
-        ins_h = grid.inserted[lo + hit]
-        pos_h = grid.insert_at[lo + hit]
-        from_reaction = ins_h & (best == pos_h)
-        master_index = best - (ins_h & (best > pos_h))
-        check_times = np.where(
-            from_reaction,
-            grid.reactions[lo + hit],
-            grid.times[np.minimum(master_index, n_times - 1)],
-        )
-        return found, hit, check_times, best + 1
-
-    # ------------------------------------------------------------------
-    # per-tick precomputation
-    # ------------------------------------------------------------------
-
-    def _tick_grid(self, ego: EgoMotion, l0: float) -> _TickGrid:
-        """One tick's candidate/time bookkeeping.
-
-        A single-tick :meth:`trace_grid` — one derivation of the
-        parity-critical grid arithmetic, not two that could drift.
-        """
-        return self.trace_grid([ego], l0).tick(0)

@@ -265,20 +265,18 @@ class OfflineEvaluator:
             evaluates at every simulation step; 50 ms is the coarsest
             stride that still catches the shortest binding windows in
             the catalog scenarios.
-        backend: ``"batched"`` (default) solves each tick's whole actor
-            batch through the :class:`repro.core.engine.LatencyEngine`
-            array kernel and groups actors by camera FOV through the
-            trace-level Equation 5 visibility tables
-            (:meth:`repro.perception.sensor.CameraRig.visible_actors_trace`);
-            ``"scalar"`` runs the per-actor, per-tick reference loop;
-            ``"crosstrace"`` additionally routes
-            :meth:`evaluate_many` through the whole-block kernels of
-            :func:`evaluate_trace_block` (single-trace :meth:`evaluate`
-            calls behave exactly like ``"batched"``). Results are
-            bit-identical across all three; only the clock differs. A
-            PAPER-strategy ``search`` always solves latencies scalar
-            (Eq 3 stepping is sequential by construction), though the
-            visibility tables still batch.
+        backend: ``"batched"`` (default) evaluates through the one
+            array path, :func:`evaluate_trace_block` — gated (tick,
+            actor) rows solved by the
+            :class:`repro.core.engine.LatencyEngine` row kernel and the
+            trace-level Equation 5 visibility tables; :meth:`evaluate`
+            is a one-trace block and :meth:`evaluate_many` one block
+            for the whole stack. ``"scalar"`` runs the per-actor,
+            per-tick reference loop (:meth:`_evaluate_tick`), the
+            oracle. ``"crosstrace"`` is a legacy name for
+            ``"batched"``. Results are bit-identical; only the clock
+            differs. A PAPER-strategy ``search`` always runs the scalar
+            loop (Eq 3 stepping is sequential by construction).
         noise: optional stochastic perception
             (:class:`~repro.perception.noise.PerceptionNoise`) injected
             into the sampled trace: undetected actors place no latency
@@ -304,14 +302,52 @@ class OfflineEvaluator:
             )
         if self.search is None:
             self.search = LatencySearch(params=self.params)
-        self._engine = None
-        if (
-            self.backend in ("batched", "crosstrace")
+
+    @property
+    def _array_path(self) -> bool:
+        """Whether evaluations run the block kernel (else the oracle)."""
+        return (
+            self.backend != "scalar"
             and self.search.strategy is SearchStrategy.EXACT
-        ):
-            self._engine = LatencyEngine(
-                params=self.search.params, strict=self.search.strict
+        )
+
+    def _job(
+        self,
+        trace: ScenarioTrace,
+        samples: TraceSamples | None,
+        l0: float | None,
+    ) -> TraceJob:
+        """One trace as a :class:`TraceJob`, its presamples checked."""
+        if samples is None:
+            samples = presample_trace(trace, self.stride, noise=self.noise)
+        elif abs(samples.stride - self.stride) > 1e-12:
+            raise EstimationError(
+                f"presampled stride {samples.stride} does not match "
+                f"evaluator stride {self.stride}"
             )
+        elif samples.noise != effective_noise(self.noise):
+            raise EstimationError(
+                f"presampled noise {samples.noise} does not match "
+                f"evaluator noise {self.noise}"
+            )
+        return TraceJob(
+            trace=trace,
+            samples=samples,
+            l0=trace.default_l0() if l0 is None else l0,
+            road=self.road,
+        )
+
+    def _evaluate_block(
+        self, jobs: Sequence[TraceJob]
+    ) -> list[EvaluationSeries]:
+        block = evaluate_trace_block(
+            jobs,
+            [self.params],
+            self.stride,
+            rig=self.rig,
+            strict=self.search.strict,
+        )
+        return [series[0] for series in block]
 
     def evaluate(
         self,
@@ -334,98 +370,41 @@ class OfflineEvaluator:
         Returns:
             The per-camera FPR series over the trace.
         """
-        if l0 is None:
-            l0 = trace.default_l0()
+        job = self._job(trace, samples, l0)
+        if self._array_path:
+            return self._evaluate_block([job])[0]
 
-        if samples is None:
-            samples = presample_trace(trace, self.stride, noise=self.noise)
-        elif abs(samples.stride - self.stride) > 1e-12:
-            raise EstimationError(
-                f"presampled stride {samples.stride} does not match "
-                f"evaluator stride {self.stride}"
-            )
-        elif samples.noise != effective_noise(self.noise):
-            raise EstimationError(
-                f"presampled noise {samples.noise} does not match "
-                f"evaluator noise {self.noise}"
-            )
-
+        samples = job.samples
         assessor = ThreatAssessor(params=self.params, road=self.road)
         times = samples.times
-        ego_states = samples.ego_states
         actor_states = samples.actor_states
         actor_trajectories = samples.actor_trajectories
-
-        # The collision gate for every (actor, tick) pair, one batched
-        # pass per actor instead of a per-tick Python loop (verdicts
-        # identical — see ThreatAssessor.could_collide_trace).
-        gate_tables = {
-            actor_id: assessor.could_collide_trace(
-                ego_states,
+        # The collision gate for every (actor, tick) pair. Injected
+        # misses gate exactly like geometric impossibility: an
+        # undetected actor places no latency demand at that tick.
+        gate_tables = {}
+        for actor_id, trajectory in actor_trajectories.items():
+            gate = assessor.could_collide_trace(
+                samples.ego_states,
                 trace.ego_spec,
                 trajectory,
                 trace.actor_spec(actor_id),
                 times,
             )
-            for actor_id, trajectory in actor_trajectories.items()
-        }
-
-        # Injected misses gate exactly like geometric impossibility: an
-        # undetected actor places no latency demand at that tick. One
-        # AND here covers both the per-tick loop and the trace kernel.
-        if samples.detected is not None:
-            gate_tables = {
-                actor_id: table & samples.detected[actor_id]
-                for actor_id, table in gate_tables.items()
-            }
-
-        # The batched backend solves the whole actors x latency-grid x
-        # ticks problem through the trace-level kernel; per-tick latency
-        # dictionaries come back precomputed. (The no-road +
-        # lateral-gating combination needs per-tick ego frames for the
-        # corridor and keeps the per-tick path.)
-        latency_tables = None
-        if self._engine is not None and (
-            self.road is not None or not self.params.gate_lateral
-        ):
-            latency_tables = self._solve_trace_latencies(
-                trace, samples, assessor, gate_tables, l0
-            )
-
-        # Equation 5 FOV grouping for every tick in one array program —
-        # the trace-level visibility kernel (groupings bit-identical to
-        # the per-tick rig.visible_actors the scalar backend runs).
-        visibility_tables = None
-        if self.backend in ("batched", "crosstrace"):
-            positions = samples.actor_positions
-            if positions is None:
-                positions = {
-                    actor_id: (
-                        np.array([state.position.x for state in states]),
-                        np.array([state.position.y for state in states]),
-                    )
-                    for actor_id, states in actor_states.items()
-                }
-            visibility_tables = self.rig.visible_actors_trace(
-                ego_states, positions, detected=samples.detected
-            )
+            if samples.detected is not None:
+                gate = gate & samples.detected[actor_id]
+            gate_tables[actor_id] = gate
 
         ticks = [
             self._evaluate_tick(
                 float(times[i]),
-                ego_states[i],
+                samples.ego_states[i],
                 {actor_id: states[i] for actor_id, states in actor_states.items()},
                 {actor_id: table[i] for actor_id, table in gate_tables.items()},
                 trace,
                 actor_trajectories,
                 assessor,
-                l0,
-                precomputed=(
-                    None if latency_tables is None else latency_tables[i]
-                ),
-                visibility=(
-                    None if visibility_tables is None else visibility_tables[i]
-                ),
+                job.l0,
                 detected=(
                     None
                     if samples.detected is None
@@ -438,7 +417,7 @@ class OfflineEvaluator:
             for i in range(len(times))
         ]
         return EvaluationSeries(
-            scenario=trace.scenario, ticks=ticks, params=self.params, l0=l0
+            scenario=trace.scenario, ticks=ticks, params=self.params, l0=job.l0
         )
 
     def evaluate_many(
@@ -449,15 +428,11 @@ class OfflineEvaluator:
     ) -> list[EvaluationSeries]:
         """Evaluate a whole stack of traces, one series each.
 
-        On the ``"crosstrace"`` backend the stack routes through
-        :func:`evaluate_trace_block`, which solves every trace's gated
-        (tick, actor) rows through shared array kernels — visibility
-        tables in one rig pass, latencies through stacked
-        :meth:`~repro.core.engine.LatencyEngine.trace_grid` programs
-        per ``l0`` group. Other backends (and a PAPER-strategy search,
-        whose Eq 3 stepping is sequential) simply loop
-        :meth:`evaluate`. Series are identical either way, element for
-        element.
+        On the array path the stack is one :func:`evaluate_trace_block`
+        — visibility tables in one rig pass, latencies through the
+        shared row kernel. The scalar oracle (and a PAPER-strategy
+        search) loops :meth:`evaluate`. Series are identical either
+        way, element for element.
 
         Args:
             traces: the recorded closed-loop runs.
@@ -479,128 +454,17 @@ class OfflineEvaluator:
                 f"{len(traces)} traces, {len(samples)} samples, "
                 f"{len(l0s)} l0s"
             )
-        if (
-            self.backend != "crosstrace"
-            or self.search.strategy is not SearchStrategy.EXACT
-        ):
+        if not self._array_path:
             return [
                 self.evaluate(trace, l0=l0, samples=trace_samples)
                 for trace, trace_samples, l0 in zip(traces, samples, l0s)
             ]
-        for trace_samples in samples:
-            if (
-                trace_samples is not None
-                and trace_samples.noise != effective_noise(self.noise)
-            ):
-                raise EstimationError(
-                    f"presampled noise {trace_samples.noise} does not "
-                    f"match evaluator noise {self.noise}"
-                )
-        jobs = [
-            TraceJob(
-                trace=trace,
-                samples=(
-                    presample_trace(trace, self.stride, noise=self.noise)
-                    if trace_samples is None
-                    else trace_samples
-                ),
-                l0=trace.default_l0() if l0 is None else l0,
-                road=self.road,
-            )
-            for trace, trace_samples, l0 in zip(traces, samples, l0s)
-        ]
-        block = evaluate_trace_block(
-            jobs,
-            [self.params],
-            self.stride,
-            rig=self.rig,
-            strict=self.search.strict,
+        return self._evaluate_block(
+            [
+                self._job(trace, trace_samples, l0)
+                for trace, trace_samples, l0 in zip(traces, samples, l0s)
+            ]
         )
-        return [series[0] for series in block]
-
-    def _solve_trace_latencies(
-        self,
-        trace: ScenarioTrace,
-        samples: TraceSamples,
-        assessor: ThreatAssessor,
-        gate_tables,
-        l0: float,
-    ) -> list[dict[str, float | None]]:
-        """Per-tick actor latencies via the trace-level batched kernel.
-
-        Ticks are processed in blocks (bounding the sampled-row arrays'
-        memory): per block, every gated (actor, tick) pair becomes one
-        row — its threat quantities sampled in one batched pass per
-        actor (:meth:`ThreatAssessor.sample_threats_trace`) — and the
-        engine solves all rows through
-        :meth:`repro.core.engine.LatencyEngine.solve_rows`. Values are
-        bit-identical to the per-tick path; see those methods for the
-        parity arguments.
-        """
-        times = samples.times
-        ego_states = samples.ego_states
-        ego_motions = [
-            EgoMotion.from_state(state.speed, state.accel, self.params)
-            for state in ego_states
-        ]
-        grid = self._engine.trace_grid(ego_motions, l0)
-        rel_times = np.concatenate([grid.times, grid.reactions])
-        tables: list[dict[str, float | None]] = [
-            {} for _ in range(len(times))
-        ]
-        # Block size targets ~2M row-elements per kernel call: big
-        # enough to amortize per-call overhead, small enough that the
-        # row arrays stay cache-resident instead of going memory-bound.
-        n_actors = max(len(samples.actor_trajectories), 1)
-        block = max(1, int(2_000_000 / (rel_times.size * n_actors)))
-        for start in range(0, len(times), block):
-            stop = min(start + block, len(times))
-            tick_chunks: list[np.ndarray] = []
-            row_actors: list[str] = []
-            gap_chunks: list[np.ndarray] = []
-            speed_chunks: list[np.ndarray] = []
-            for actor_id, trajectory in samples.actor_trajectories.items():
-                gated = start + np.flatnonzero(
-                    gate_tables[actor_id][start:stop]
-                )
-                if gated.size == 0:
-                    continue
-                gaps, speeds = assessor.sample_threats_trace(
-                    [ego_states[i] for i in gated],
-                    trace.ego_spec,
-                    trajectory,
-                    trace.actor_spec(actor_id),
-                    times[gated],
-                    rel_times,
-                )
-                tick_chunks.append(gated)
-                row_actors.extend([actor_id] * gated.size)
-                gap_chunks.append(gaps)
-                speed_chunks.append(speeds)
-            if not tick_chunks:
-                continue
-            results = self._engine.solve_rows(
-                grid,
-                np.concatenate(tick_chunks),
-                ego_motions,
-                np.vstack(gap_chunks),
-                np.vstack(speed_chunks),
-            )
-            for tick, actor_id, result in zip(
-                np.concatenate(tick_chunks), row_actors, results
-            ):
-                tables[int(tick)][actor_id] = result.latency
-        # Row order above is actor-major; per-tick dictionaries must
-        # list actors in trajectory order like the per-tick path does.
-        order = list(samples.actor_trajectories)
-        return [
-            {
-                actor_id: table[actor_id]
-                for actor_id in order
-                if actor_id in table
-            }
-            for table in tables
-        ]
 
     def _evaluate_tick(
         self,
@@ -612,10 +476,30 @@ class OfflineEvaluator:
         actor_trajectories,
         assessor: ThreatAssessor,
         l0: float,
-        precomputed: dict[str, float | None] | None = None,
-        visibility: Mapping[str, Sequence] | None = None,
         detected: Mapping[str, bool] | None = None,
     ) -> EvaluationTick:
+        """One tick of the scalar oracle: Equations 1-3 per actor, then 5.
+
+        Offline ``|T| = 1``, so Equation 4 reduces to the single value.
+        """
+        ego_motion = EgoMotion.from_state(
+            ego_state.speed, ego_state.accel, self.params
+        )
+        actor_latencies: dict[str, float | None] = {}
+        for actor_id, trajectory in actor_trajectories.items():
+            if not gates[actor_id]:
+                continue
+            threat = assessor.build_threat(
+                ego_state,
+                trace.ego_spec,
+                trajectory,
+                trace.actor_spec(actor_id),
+                t0=t0,
+            )
+            actor_latencies[actor_id] = self.search.tolerable_latency(
+                ego_motion, threat, l0
+            ).latency
+
         # An undetected actor is invisible to perception this tick: it
         # joins no camera grouping (its gate is already off upstream).
         actor_positions = {
@@ -623,44 +507,7 @@ class OfflineEvaluator:
             for actor_id in actor_trajectories
             if detected is None or detected[actor_id]
         }
-        if precomputed is not None:
-            actor_latencies = precomputed
-        else:
-            ego_motion = EgoMotion.from_state(
-                ego_state.speed, ego_state.accel, self.params
-            )
-            threats = {}
-            for actor_id, trajectory in actor_trajectories.items():
-                if not gates[actor_id]:
-                    continue
-                threats[actor_id] = assessor.build_threat(
-                    ego_state,
-                    trace.ego_spec,
-                    trajectory,
-                    trace.actor_spec(actor_id),
-                    t0=t0,
-                )
-
-            # Offline: |T| = 1, so Equation 4 reduces to the single
-            # value.
-            if self._engine is not None:
-                results = self._engine.solve_batch(
-                    ego_motion, list(threats.values()), l0
-                )
-                actor_latencies: dict[str, float | None] = {
-                    actor_id: result.latency
-                    for actor_id, result in zip(threats, results)
-                }
-            else:
-                actor_latencies = {
-                    actor_id: self.search.tolerable_latency(
-                        ego_motion, threat, l0
-                    ).latency
-                    for actor_id, threat in threats.items()
-                }
-
-        if visibility is None:
-            visibility = self.rig.visible_actors(ego_state, actor_positions)
+        visibility = self.rig.visible_actors(ego_state, actor_positions)
         estimates = estimate_camera_fprs(actor_latencies, visibility, self.params)
         return EvaluationTick(
             time=t0,
@@ -673,7 +520,7 @@ class OfflineEvaluator:
 
 @dataclass(frozen=True)
 class TraceJob:
-    """One trace of a cross-trace evaluation block.
+    """One trace of an evaluation block.
 
     Attributes:
         trace: the recorded closed-loop run.
@@ -688,12 +535,123 @@ class TraceJob:
     road: Road | None = None
 
 
-#: Target element count of one tiled solve block: ``base rows x
-#: variants x scan instants`` per :meth:`LatencyEngine.solve_rows`
-#: call stays near this, bounding peak array memory (~32 MB of
-#: float64 threat samples) while amortizing the per-unique-tick ego
-#: profile construction across every variant of the block.
-_BLOCK_ELEMENTS = 4_000_000
+#: Element budget of one block solve: ``variants x rows x (T + L)``
+#: threat samples per :meth:`LatencyEngine.solve_rows` call. Each
+#: trace's gated rows are sampled and solved one tick block at a time,
+#: sized to this budget, so peak memory stays flat however long or
+#: dense the traces are — sampling every gated row of a trace before
+#: solving any tripled a four-variant sweep's peak RSS.
+_BLOCK_ELEMENTS = 1_000_000
+
+
+def _job_latencies(
+    engine: LatencyEngine,
+    job: TraceJob,
+    c1s: np.ndarray,
+    c2s: np.ndarray,
+) -> list[list[dict[str, float | None]]]:
+    """One job's per-tick ``{actor: latency}`` tables, per variant.
+
+    The engine's params supply every constant but ``c1``/``c2``, which
+    come per variant from ``c1s``/``c2s``. Gates and ego path rows build
+    once; then each tick block samples every actor's gated rows, sorts
+    them tick-major, tiles them over the variants (each copy carrying
+    its variant's ``c1``/``c2`` as per-row constraint columns) and
+    solves them in one :meth:`LatencyEngine.solve_rows` call. Tables
+    list gated actors only, in trajectory order.
+    """
+    params = engine.params
+    samples = job.samples
+    trace = job.trace
+    ego_states = samples.ego_states
+    n_ticks = len(samples.times)
+    n_variants = c1s.size
+    motions = [
+        EgoMotion.from_state(state.speed, state.accel, params)
+        for state in ego_states
+    ]
+    grid = engine.trace_grid(motions, job.l0)
+    rel_times = np.concatenate([grid.times, grid.reactions])
+    assessor = ThreatAssessor(params=params, road=job.road)
+    ego_rows = assessor.ego_path_rows(ego_states)
+    gates = {}
+    for actor_id, trajectory in samples.actor_trajectories.items():
+        gate = assessor.could_collide_trace(
+            ego_states,
+            trace.ego_spec,
+            trajectory,
+            trace.actor_spec(actor_id),
+            samples.times,
+            ego_rows=ego_rows,
+        )
+        if samples.detected is not None:
+            # Injected misses gate like geometric impossibility.
+            gate = gate & samples.detected[actor_id]
+        gates[actor_id] = gate
+
+    tables: list[list[dict[str, float | None]]] = [
+        [{} for _ in range(n_ticks)] for _ in range(n_variants)
+    ]
+    block = max(
+        1,
+        int(
+            _BLOCK_ELEMENTS
+            / (n_variants * rel_times.size * max(1, len(gates)))
+        ),
+    )
+    for start in range(0, n_ticks, block):
+        stop = min(start + block, n_ticks)
+        tick_chunks: list[np.ndarray] = []
+        row_actors: list[str] = []
+        gap_chunks: list[np.ndarray] = []
+        speed_chunks: list[np.ndarray] = []
+        for actor_id, gate in gates.items():
+            gated = start + np.flatnonzero(gate[start:stop])
+            if gated.size == 0:
+                continue
+            gaps, speeds = assessor.sample_threats_trace(
+                [ego_states[i] for i in gated],
+                trace.ego_spec,
+                samples.actor_trajectories[actor_id],
+                trace.actor_spec(actor_id),
+                samples.times[gated],
+                rel_times,
+                ego_rows=ego_rows.take(gated),
+            )
+            tick_chunks.append(gated)
+            row_actors.extend([actor_id] * gated.size)
+            gap_chunks.append(gaps)
+            speed_chunks.append(speeds)
+        if not tick_chunks:
+            continue
+        # Tick-major rows: all (actor, variant) rows of a tick sit
+        # together, the density the engine's grouped kernel keys on.
+        # A pure permutation — rows are independent.
+        ticks = np.concatenate(tick_chunks)
+        order = np.argsort(ticks, kind="stable")
+        ticks = ticks[order]
+        width = ticks.size
+        results = engine.solve_rows(
+            grid,
+            np.tile(ticks, n_variants),
+            motions,
+            np.tile(np.vstack(gap_chunks)[order], (n_variants, 1)),
+            np.tile(np.vstack(speed_chunks)[order], (n_variants, 1)),
+            constraints=(np.repeat(c1s, width), np.repeat(c2s, width)),
+        )
+        actors = [row_actors[i] for i in order]
+        for vi, table in enumerate(tables):
+            solved = results[vi * width : (vi + 1) * width]
+            for tick, actor_id, result in zip(ticks, actors, solved):
+                table[tick][actor_id] = result.latency
+    order = list(samples.actor_trajectories)
+    return [
+        [
+            {actor_id: tick[actor_id] for actor_id in order if actor_id in tick}
+            for tick in table
+        ]
+        for table in tables
+    ]
 
 
 def evaluate_trace_block(
@@ -705,8 +663,9 @@ def evaluate_trace_block(
 ) -> list[list[EvaluationSeries]]:
     """Evaluate many traces under many parameter variants in one block.
 
-    The campaign super-cell kernel: instead of one evaluator pass per
-    (trace, variant), the whole block shares its array programs —
+    The array path of every non-scalar evaluation — a single trace
+    (:meth:`OfflineEvaluator.evaluate`), a stack of them, or a campaign
+    super-cell of traces under several variants:
 
     * Equation 5 visibility tables build in one
       :meth:`~repro.perception.sensor.CameraRig.visible_actors_traces`
@@ -716,24 +675,22 @@ def evaluate_trace_block(
       solver_grid_key` — within a group, gates, threat samples and the
       candidate grid are common, and only the Eq 1/2 ``c1``/``c2``
       comparisons differ, carried as per-row constraint columns;
-    * within a group, traces sharing ``l0`` stack into one
-      :meth:`~repro.core.engine.LatencyEngine.trace_grid` whose tick
-      axis concatenates their ego motions, and every gated (trace,
-      tick, actor, variant) row solves through shared
-      :meth:`~repro.core.engine.LatencyEngine.solve_rows` calls.
+    * within a group, each trace's gated (tick, actor) rows solve in
+      bounded tick blocks through
+      :meth:`~repro.core.engine.LatencyEngine.solve_rows`, every block
+      tiled over the group's variants (at most :data:`_BLOCK_ELEMENTS`
+      threat samples per solve).
 
-    Every constituent kernel is bit-identical to its per-trace
-    counterpart (see each method's parity argument), so the returned
-    series equal per-trace ``backend="batched"`` evaluations element
-    for element. Traces with no road while a variant gates laterally
-    need per-tick ego frames and quietly take the per-trace batched
-    path for that variant group.
+    Every constituent kernel is bit-identical to the per-tick scalar
+    oracle (see each method's parity argument), so the returned series
+    equal ``backend="scalar"`` evaluations element for element. Traces
+    without a road gate in each tick's own ego heading frame.
 
     Args:
         jobs: the traces, presampled at ``stride``. Noise-injected
             samples travel self-contained — their detection masks AND
             into the gates and visibility groupings here exactly as
-            :meth:`OfflineEvaluator.evaluate` applies them.
+            the scalar oracle applies them.
         variants: the parameter variants to evaluate each trace under.
         stride: evaluation period (must match every job's samples).
         rig: camera rig (the paper's five-camera default when omitted).
@@ -778,7 +735,6 @@ def evaluate_trace_block(
     output: list[list[EvaluationSeries | None]] = [
         [None] * len(variants) for _ in jobs
     ]
-
     # Variant groups: equal solver_grid_key = everything but c1/c2
     # shared (grid, gates, ego profiles, threat samples).
     groups: dict[ZhuyiParams, list[int]] = {}
@@ -786,177 +742,24 @@ def evaluate_trace_block(
         groups.setdefault(params.solver_grid_key(), []).append(v)
 
     for vlist in groups.values():
-        gparams = variants[vlist[0]]
-        engine = LatencyEngine(params=gparams, strict=strict)
+        engine = LatencyEngine(params=variants[vlist[0]], strict=strict)
         c1s = np.array([variants[v].c1 for v in vlist])
         c2s = np.array([variants[v].c2 for v in vlist])
-
-        # The no-road + lateral-gating combination needs per-tick ego
-        # frames for the corridor; those (job, variant) pairs keep the
-        # per-trace batched path (identical output by construction).
-        stackable: list[int] = []
         for j, job in enumerate(jobs):
-            if job.road is None and gparams.gate_lateral:
-                for v in vlist:
-                    fallback = OfflineEvaluator(
-                        params=variants[v],
-                        rig=rig,
-                        search=LatencySearch(
-                            params=variants[v], strict=strict
-                        ),
-                        road=job.road,
-                        stride=stride,
-                        backend="batched",
-                        noise=job.samples.noise,
-                    )
-                    output[j][v] = fallback.evaluate(
-                        job.trace, l0=job.l0, samples=job.samples
-                    )
-            else:
-                stackable.append(j)
-
-        # Stack traces sharing l0 into one grid (reactions — hence the
-        # master time axis — depend on l0).
-        l0_groups: dict[float, list[int]] = {}
-        for j in stackable:
-            l0_groups.setdefault(jobs[j].l0, []).append(j)
-
-        # Per (job, variant): per-tick {actor: latency} dictionaries,
-        # gated actors only, filled by the scatter below.
-        tables: dict[tuple[int, int], list[dict[str, float | None]]] = {
-            (j, v): [{} for _ in jobs[j].samples.times]
-            for j in stackable
-            for v in vlist
-        }
-
-        for l0, job_indices in l0_groups.items():
-            motions: list = []
-            offsets: list[int] = []
-            for j in job_indices:
-                offsets.append(len(motions))
-                motions.extend(
-                    EgoMotion.from_state(state.speed, state.accel, gparams)
-                    for state in jobs[j].samples.ego_states
-                )
-            grid = engine.trace_grid(motions, l0)
-            rel_times = np.concatenate([grid.times, grid.reactions])
-
-            # One row per gated (trace, tick, actor): threat samples
-            # batch per actor, ego-side arrays batch once per trace.
-            row_meta: list[tuple[int, str, np.ndarray]] = []
-            tick_chunks: list[np.ndarray] = []
-            gap_chunks: list[np.ndarray] = []
-            speed_chunks: list[np.ndarray] = []
-            for j, offset in zip(job_indices, offsets):
-                job = jobs[j]
-                samples = job.samples
-                assessor = ThreatAssessor(params=gparams, road=job.road)
-                ego_rows = assessor.ego_path_rows(samples.ego_states)
-                for actor_id, trajectory in samples.actor_trajectories.items():
-                    spec = job.trace.actor_spec(actor_id)
-                    gate = assessor.could_collide_trace(
-                        samples.ego_states,
-                        job.trace.ego_spec,
-                        trajectory,
-                        spec,
-                        samples.times,
-                        ego_rows=ego_rows,
-                    )
-                    if samples.detected is not None:
-                        # Injected misses gate like geometric
-                        # impossibility (same AND evaluate() applies).
-                        gate = gate & samples.detected[actor_id]
-                    gated = np.flatnonzero(gate)
-                    if gated.size == 0:
-                        continue
-                    gaps, speeds = assessor.sample_threats_trace(
-                        [samples.ego_states[i] for i in gated],
-                        job.trace.ego_spec,
-                        trajectory,
-                        spec,
-                        samples.times[gated],
-                        rel_times,
-                        ego_rows=ego_rows.take(gated),
-                    )
-                    row_meta.append((j, actor_id, gated))
-                    tick_chunks.append(gated + offset)
-                    gap_chunks.append(gaps)
-                    speed_chunks.append(speeds)
-            if not tick_chunks:
-                continue
-            base_ticks = np.concatenate(tick_chunks)
-            base_gaps = np.vstack(gap_chunks)
-            base_speeds = np.vstack(speed_chunks)
-            # Row -> (job, actor, local tick) for the scatter.
-            scatter: list[tuple[int, str, int]] = []
-            for j, actor_id, gated in row_meta:
-                scatter.extend((j, actor_id, int(i)) for i in gated)
-            # Tick-major row order: every solve block then carries all
-            # (actor, variant) rows of its ticks together, which is the
-            # row density the engine's tick-resident grouped kernel
-            # keys on. Pure permutation — rows are independent and the
-            # scatter above travels with them.
-            tick_order = np.argsort(base_ticks, kind="stable")
-            base_ticks = base_ticks[tick_order]
-            base_gaps = base_gaps[tick_order]
-            base_speeds = base_speeds[tick_order]
-            scatter = [scatter[i] for i in tick_order]
-
-            # Variant-tiled solves in base-row blocks: each block's
-            # rows repeat once per variant with that variant's c1/c2
-            # as per-row constraint columns, so the per-tick ego
-            # profile work amortizes across every variant at bounded
-            # peak memory.
-            n_variants = len(vlist)
-            block = max(
-                1, int(_BLOCK_ELEMENTS / (n_variants * rel_times.size))
-            )
-            for start in range(0, base_ticks.size, block):
-                stop = min(start + block, base_ticks.size)
-                width = stop - start
-                results = engine.solve_rows(
-                    grid,
-                    np.tile(base_ticks[start:stop], n_variants),
-                    motions,
-                    np.tile(base_gaps[start:stop], (n_variants, 1)),
-                    np.tile(base_speeds[start:stop], (n_variants, 1)),
-                    constraints=(
-                        np.repeat(c1s, width),
-                        np.repeat(c2s, width),
-                    ),
-                )
-                for vi, v in enumerate(vlist):
-                    for r in range(width):
-                        j, actor_id, tick = scatter[start + r]
-                        result = results[vi * width + r]
-                        tables[(j, v)][tick][actor_id] = result.latency
-
-        # Assemble each (job, variant) series exactly like the
-        # single-trace precomputed path: trajectory-ordered latency
-        # dictionaries, shared visibility tables, Equation 5 rollup.
-        for j in stackable:
-            job = jobs[j]
             samples = job.samples
-            order = list(samples.actor_trajectories)
-            for v in vlist:
+            tables = _job_latencies(engine, job, c1s, c2s)
+            for v, table in zip(vlist, tables):
                 params = variants[v]
                 ticks = []
                 for i, t0 in enumerate(samples.times):
-                    table = tables[(j, v)][i]
-                    actor_latencies = {
-                        actor_id: table[actor_id]
-                        for actor_id in order
-                        if actor_id in table
-                    }
-                    estimates = estimate_camera_fprs(
-                        actor_latencies, visibility_tables[j][i], params
-                    )
                     ego_state = samples.ego_states[i]
                     ticks.append(
                         EvaluationTick(
                             time=float(t0),
-                            camera_estimates=estimates,
-                            actor_latencies=actor_latencies,
+                            camera_estimates=estimate_camera_fprs(
+                                table[i], visibility_tables[j][i], params
+                            ),
+                            actor_latencies=table[i],
                             ego_speed=ego_state.speed,
                             ego_accel=ego_state.accel,
                         )

@@ -42,7 +42,6 @@ import numpy as np
 from repro.core.ego_profile import EgoMotion, ego_profile_arrays
 from repro.core.parameters import ZhuyiParams
 from repro.core.threat import LongitudinalThreat, sample_grid
-from repro.errors import ConfigurationError
 
 #: Latency value used in aggregations for unavoidable-collision verdicts.
 UNAVOIDABLE_LATENCY = 0.0
@@ -50,13 +49,13 @@ UNAVOIDABLE_LATENCY = 0.0
 #: Numerical slack on the constraint comparisons.
 _EPS = 1e-9
 
-#: Latency-solver backends: the scalar per-candidate reference loop,
-#: the batched array program of :mod:`repro.core.engine` (one
-#: vectorized kernel per latency grid), or the cross-trace campaign
-#: stacking (``crosstrace``: whole groups of traces and parameter
-#: variants solved through shared kernels — see
-#: :func:`repro.core.evaluator.evaluate_trace_block`). All three
-#: produce bit-identical results; only the clock differs.
+#: Latency-solver backends accepted as input: ``scalar`` runs the
+#: per-actor, per-tick reference loop (the oracle); ``batched`` runs
+#: the one array path — :func:`repro.core.evaluator.evaluate_trace_block`
+#: offline, :meth:`repro.core.engine.LatencyEngine.solve_rows` online.
+#: ``crosstrace`` is a legacy name for ``batched``, kept so existing
+#: campaign headers, scripts and fuzz configs still load; it selects
+#: the same path. Results are bit-identical; only the clock differs.
 BACKENDS = ("scalar", "batched", "crosstrace")
 
 
@@ -96,14 +95,11 @@ class LatencyResult:
 
 @dataclass
 class LatencySearch:
-    """Per-actor tolerable-latency solver.
+    """Per-actor tolerable-latency solver — the scalar reference.
 
-    A thin facade over two equivalent solvers: the scalar reference
-    loop below (one latency candidate at a time), and the batched array
-    kernel of :class:`repro.core.engine.LatencyEngine` (the whole grid
-    at once, bit-identical results). Tick-level consumers that batch
-    actors should call the engine directly; this facade serves
-    per-actor callers.
+    One latency candidate at a time, exactly as Equations 1-3 read.
+    :class:`repro.core.engine.LatencyEngine` is its bit-identical array
+    counterpart for EXACT searches; batch consumers call the engine.
 
     Attributes:
         params: the Zhuyi constants.
@@ -111,24 +107,11 @@ class LatencySearch:
             paper's Eq 3 accelerated stepping).
         strict: EXACT strategy only — require the distance constraint on
             the whole prefix up to ``t_n`` (see the module docstring).
-        backend: ``"scalar"`` runs the reference loops; ``"batched"``
-            routes EXACT searches through the engine kernel. The PAPER
-            strategy is inherently sequential (each Eq 3 step depends on
-            the previous gap) and always runs scalar.
     """
 
     params: ZhuyiParams = field(default_factory=ZhuyiParams)
     strategy: SearchStrategy = SearchStrategy.EXACT
     strict: bool = True
-    backend: str = "scalar"
-
-    def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ConfigurationError(
-                f"unknown latency backend {self.backend!r}; "
-                f"choose from {BACKENDS}"
-            )
-        self._engine = None
 
     def tolerable_latency(
         self,
@@ -141,17 +124,6 @@ class LatencySearch:
         ``l0`` is the processing latency the system currently runs at; it
         enters the confirmation delay ``alpha = K * (l - l0)``.
         """
-        if (
-            self.backend == "batched"
-            and self.strategy is SearchStrategy.EXACT
-        ):
-            if self._engine is None:
-                from repro.core.engine import LatencyEngine
-
-                self._engine = LatencyEngine(
-                    params=self.params, strict=self.strict
-                )
-            return self._engine.solve(ego, threat, l0)
         iterations = 0
         for latency in self.params.latency_grid():
             reaction_time = latency + self.params.confirmation_delay(latency, l0)

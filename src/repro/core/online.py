@@ -89,8 +89,10 @@ class OnlineEstimator:
             (the world model carries no extent information).
         backend: ``"batched"`` (default) solves the tick's full batch —
             every predicted future of every confirmed actor — in one
-            :class:`repro.core.engine.LatencyEngine` call; ``"scalar"``
-            loops the reference search. Bit-identical estimates.
+            :class:`repro.core.engine.LatencyEngine` call, and
+            :meth:`replay` as one row program; ``"scalar"`` loops the
+            reference search. ``"crosstrace"`` is a legacy name for
+            ``"batched"``. Bit-identical estimates.
         noise: optional stochastic perception injected into
             :meth:`replay` (undetected ticks drop the actor from the
             replayed world model; position noise perturbs the perceived
@@ -122,7 +124,7 @@ class OnlineEstimator:
             self.search = LatencySearch(params=self.params)
         self._engine = None
         if (
-            self.backend == "batched"
+            self.backend != "scalar"
             and self.search.strategy is SearchStrategy.EXACT
         ):
             self._engine = LatencyEngine(
@@ -237,7 +239,7 @@ class OnlineEstimator:
         undetected actors vanish from the replayed world model for that
         tick and perceived positions carry the counter-keyed jitter.
 
-        With ``backend="batched"`` the whole replay is one array
+        On the array backends the whole replay is one array
         program: the predictor's batch protocol (``predict_trace``)
         rolls every hypothesis out over all ticks at once, the threat
         assessor gates and samples each hypothesis' futures batch
@@ -250,8 +252,8 @@ class OnlineEstimator:
         grouping comes from one
         :meth:`repro.perception.sensor.CameraRig.visible_actors_trace`
         array program. ``"scalar"`` replays the per-tick reference
-        loop. The two are bit-identical; predictors (or configurations)
-        the batch path cannot serve fall back to the per-tick loop.
+        loop. The two are bit-identical; predictors whose output cannot
+        batch, and a PAPER-strategy search, run the per-tick loop.
 
         Args:
             trace: the recorded closed-loop run.
@@ -277,17 +279,13 @@ class OnlineEstimator:
         detected = samples.detected
 
         visibility_tables = None
-        if self.backend == "batched":
+        if self.backend != "scalar":
             visibility_tables = self.rig.visible_actors_trace(
                 ego_states, samples.actor_positions, detected=detected
             )
 
-        # The trace-level array program. (The no-road + lateral-gating
-        # combination needs per-tick ego frames for the corridor mask
-        # and keeps the per-tick path, mirroring the offline evaluator.)
-        if self._engine is not None and (
-            self.road is not None or not self.params.gate_lateral
-        ):
+        # The trace-level array program.
+        if self._engine is not None:
             ticks = self._replay_batched(
                 trace, samples, l0, visibility_tables
             )

@@ -392,6 +392,25 @@ class ThreatAssessor:
         sin_h = math.sin(frame.heading)
         return cos_h * dx + sin_h * dy, -sin_h * dx + cos_h * dy
 
+    def _path_coordinates_rows(
+        self, xs: np.ndarray, ys: np.ndarray, ego_states
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_path_coordinates_batch` over ``(tick, instant)`` rows.
+
+        Row ``n`` holds points queried at tick ``n``. With a road every
+        row converts in one Frenet batch; without one, each row works in
+        its own tick's ego heading frame, as the per-tick path does.
+        """
+        if self.road is not None:
+            return self.road.to_frenet_batch(xs, ys)
+        stations = np.empty(xs.shape)
+        laterals = np.empty(xs.shape)
+        for n, state in enumerate(ego_states):
+            stations[n], laterals[n] = self._path_coordinates_batch(
+                xs[n], ys[n], state
+            )
+        return stations, laterals
+
     def _could_collide(
         self,
         ego_state: VehicleState,
@@ -553,9 +572,7 @@ class ThreatAssessor:
         shared row kernel as the trace sampler, so the values equal a
         per-tick :class:`TrajectoryThreat` build-and-sample bit for bit
         (Euclidean gap from the tick's ego position, half-lengths
-        subtracted, the 10 ms corridor-mask quantization). Requires
-        road geometry when lateral gating is on, like the trace
-        sampler.
+        subtracted, the 10 ms corridor-mask quantization).
 
         Args:
             ego_states: ego state at each queried tick.
@@ -637,15 +654,7 @@ class ThreatAssessor:
 
         queries = t0s[:, None] + gate_rel[None, :]
         xs, ys, _ = sampler(queries)
-        if self.road is not None:
-            stations, laterals = self.road.to_frenet_batch(xs, ys)
-        else:
-            stations = np.empty(queries.shape)
-            laterals = np.empty(queries.shape)
-            for n, state in enumerate(ego_states):
-                stations[n], laterals[n] = self._path_coordinates_batch(
-                    xs[n], ys[n], state
-                )
+        stations, laterals = self._path_coordinates_rows(xs, ys, ego_states)
 
         overlapping = np.abs(laterals - ego_d[:, None]) <= overlap_width
         ahead = stations >= (ego_s + half_lengths)[:, None]
@@ -676,11 +685,6 @@ class ThreatAssessor:
         """
         t0s = np.asarray(t0s, dtype=float)
         rel_times = np.asarray(rel_times, dtype=float)
-        if self.params.gate_lateral and self.road is None:
-            raise EstimationError(
-                "row-batched threat sampling needs road geometry "
-                "when lateral gating is on"
-            )
         half_lengths = (ego_spec.length + actor_spec.length) / 2.0
         n_rel = rel_times.size
         instants = rel_times
@@ -709,15 +713,23 @@ class ThreatAssessor:
         gaps = np.maximum(0.0, distances - half_lengths)
         gaps = np.take(gaps, scan, axis=1)
         if self.params.gate_lateral:
-            # The road branch of CorridorSpec.lateral_offsets ignores
-            # the per-tick frame fields; one spec serves every tick.
-            corridor = CorridorSpec(
-                road=self.road,
-                ego_frame_origin=ego_states[0],
-                ego_lateral=0.0,
-                overlap_width=0.0,
-            )
-            offsets = corridor.lateral_offsets(xs, ys)
+            if self.road is not None:
+                # The road branch of CorridorSpec.lateral_offsets
+                # ignores the per-tick frame fields; one spec serves
+                # every tick.
+                corridor = CorridorSpec(
+                    road=self.road,
+                    ego_frame_origin=ego_states[0],
+                    ego_lateral=0.0,
+                    overlap_width=0.0,
+                )
+                offsets = corridor.lateral_offsets(xs, ys)
+            else:
+                # No road: each tick's corridor lives in that tick's
+                # ego heading frame — the same arithmetic as the
+                # per-tick CorridorSpec — where the ego lateral
+                # (ego_rows.d) is exactly 0.
+                _, offsets = self._path_coordinates_rows(xs, ys, ego_states)
             # Per-tick ego laterals batch through the exact Frenet
             # kernel: to_frenet_batch is bit-identical to the scalar
             # to_frenet build_threat calls (the road/lane.py contract),
@@ -751,9 +763,9 @@ class ThreatAssessor:
         same arithmetic as building a per-tick :class:`TrajectoryThreat`
         and sampling it (including the 10 ms corridor-mask
         quantization), so the values are identical and only the
-        per-tick interpreter overhead disappears. Requires road
-        geometry when lateral gating is on (the no-road corridor works
-        in per-tick ego frames; those callers keep the per-tick path).
+        per-tick interpreter overhead disappears. Without a road the
+        corridor works in each tick's own ego heading frame, exactly
+        as the per-tick threat's does.
 
         Args:
             ego_states: ego state at each queried tick.

@@ -102,3 +102,85 @@ class TestOnlineParity:
             assert a.time == b.time
             assert dict(a.actor_latencies) == dict(b.actor_latencies)
             assert dict(a.camera_estimates) == dict(b.camera_estimates)
+
+
+@pytest.mark.slow
+class TestNoRoadParity:
+    """Without road geometry, lateral gating runs in per-tick ego frames.
+
+    The array path samples each row's corridor in its own tick's ego
+    heading frame, as the per-tick threat does; scalar and batched
+    must agree offline and in replay.
+    """
+
+    def test_offline_cut_in(self):
+        scenario = build_scenario("cut_in", seed=0)
+        trace = scenario.run(fpr=30.0)
+        assert not trace.has_collision
+        samples = presample_trace(trace, 0.1)
+        series = {
+            backend: OfflineEvaluator(
+                road=None, stride=0.1, backend=backend
+            ).evaluate(trace, samples=samples)
+            for backend in ("scalar", "batched")
+        }
+        assert series["scalar"].params.gate_lateral
+        assert_series_identical(series["scalar"], series["batched"])
+        assert any(t.actor_latencies for t in series["batched"].ticks)
+
+    def test_replay_cut_in(self):
+        from repro.core.online import OnlineEstimator
+        from repro.core.parameters import ZhuyiParams
+        from repro.prediction.constant_velocity import (
+            ConstantVelocityPredictor,
+        )
+
+        scenario = build_scenario("cut_in", seed=0)
+        trace = scenario.run(fpr=30.0)
+        series = {
+            backend: OnlineEstimator(
+                params=ZhuyiParams(),
+                predictor=ConstantVelocityPredictor(),
+                road=None,
+                backend=backend,
+            ).replay(trace, period=0.25)
+            for backend in ("scalar", "batched")
+        }
+        assert_series_identical(series["scalar"], series["batched"])
+        assert any(t.actor_latencies for t in series["batched"].ticks)
+
+
+@pytest.mark.slow
+class TestLegacyCrosstraceName:
+    def test_crosstrace_replay_runs_the_array_path(self, monkeypatch):
+        """``crosstrace`` is ``batched``: replay solves through solve_rows."""
+        from repro.core.engine import LatencyEngine
+        from repro.core.online import OnlineEstimator
+        from repro.core.parameters import ZhuyiParams
+        from repro.prediction.maneuver import ManeuverPredictor
+
+        calls = []
+        solve_rows = LatencyEngine.solve_rows
+
+        def recording(self, grid, tick_indices, *args, **kwargs):
+            calls.append(len(tick_indices))
+            return solve_rows(self, grid, tick_indices, *args, **kwargs)
+
+        monkeypatch.setattr(LatencyEngine, "solve_rows", recording)
+        scenario = build_scenario("cut_in", seed=0)
+        trace = scenario.run(fpr=30.0)
+        series = {}
+        for backend in ("scalar", "crosstrace"):
+            calls.clear()
+            series[backend] = OnlineEstimator(
+                params=ZhuyiParams(),
+                predictor=ManeuverPredictor(
+                    road=scenario.road, target_lane=scenario.spec.ego_lane
+                ),
+                road=scenario.road,
+                backend=backend,
+            ).replay(trace, period=0.25)
+            if backend == "scalar":
+                assert calls == []
+        assert sum(calls) > 0
+        assert_series_identical(series["scalar"], series["crosstrace"])

@@ -65,9 +65,10 @@ class TestCampaignParity:
             ),
             stride=0.25,
         )
+        scalar = run_campaign("scalar", tmp_path, **grid)
         batched = run_campaign("batched", tmp_path, **grid)
         crosstrace = run_campaign("crosstrace", tmp_path, **grid)
-        assert batched == crosstrace
+        assert scalar == batched == crosstrace
 
     def test_run_lines_carry_real_estimates(self, tmp_path):
         lines = run_campaign(
@@ -124,9 +125,10 @@ class TestNoisyCampaignParity:
             stride=0.25,
             noise=self.NOISE,
         )
+        scalar = run_campaign("scalar", tmp_path, **grid)
         batched = run_campaign("batched", tmp_path, **grid)
         crosstrace = run_campaign("crosstrace", tmp_path, **grid)
-        assert batched == crosstrace
+        assert scalar == batched == crosstrace
 
     def test_noisy_shard_merge_matches_unsharded(self, tmp_path):
         from repro.batch import CampaignResult

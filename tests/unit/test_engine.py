@@ -14,7 +14,6 @@ from repro.core.ego_profile import EgoMotion
 from repro.core.latency import LatencySearch
 from repro.core.parameters import ZhuyiParams
 from repro.core.threat import FixedGapThreat
-from repro.errors import ConfigurationError
 
 PARAMS = ZhuyiParams()
 
@@ -146,19 +145,24 @@ class TestSolveRows:
         ):
             assert_same(engine.solve(motions[tick], threat, l0), rows[k])
 
-    def test_trace_grid_tick_view_matches_tick_grid(self):
+    def test_trace_grid_rows_match_one_tick_grids(self):
         engine = LatencyEngine(params=PARAMS)
         motions = [ego(25.0, -3.0), ego(8.0, 0.5)]
         grid = engine.trace_grid(motions, 0.2)
         for n, motion in enumerate(motions):
-            single = engine._tick_grid(motion, 0.2)
-            view = grid.tick(n)
-            assert np.array_equal(single.reactions, view.reactions)
-            assert np.array_equal(single.lengths, view.lengths)
-            assert np.array_equal(single.inserted, view.inserted)
-            assert np.array_equal(single.sizes, view.sizes)
+            single = engine.trace_grid([motion], 0.2)
+            assert np.array_equal(single.latencies, grid.latencies)
+            assert np.array_equal(single.reactions, grid.reactions)
+            assert np.array_equal(single.lengths[0], grid.lengths[n])
+            assert np.array_equal(single.inserted[0], grid.inserted[n])
+            assert np.array_equal(single.sizes[0], grid.sizes[n])
             assert np.array_equal(
-                single.times, view.times[: single.times.size]
+                single.times, grid.times[: single.times.size]
+            )
+            # Insertion slots agree wherever the one-tick grid reaches.
+            reach = single.insert_at < single.times.size
+            assert np.array_equal(
+                single.insert_at[reach], grid.insert_at[reach]
             )
 
     def test_empty_rows(self):
@@ -173,17 +177,3 @@ class TestSolveRows:
             np.empty((0, rel.size)),
         )
         assert out == []
-
-
-class TestBackendFacade:
-    def test_latency_search_batched_backend_delegates(self):
-        threat = FixedGapThreat(33.0, 4.0)
-        scalar = LatencySearch(params=PARAMS).tolerable_latency(
-            ego(18.0), threat, 0.1
-        )
-        facade = LatencySearch(params=PARAMS, backend="batched")
-        assert_same(scalar, facade.tolerable_latency(ego(18.0), threat, 0.1))
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LatencySearch(params=PARAMS, backend="quantum")

@@ -362,14 +362,33 @@ class TestTraceSampler:
                 assert np.array_equal(speeds[n], tick_speeds), (rel.size, t0)
         assert np.isinf(gaps).any() and np.isfinite(gaps).any()
 
-    def test_requires_road_when_gated(self):
+    def test_no_road_matches_per_tick_threats(self):
+        # Without a road each tick's corridor lives in that tick's own
+        # ego heading frame; the ego turns slightly, so the frames
+        # differ tick to tick while the actor cuts across the corridor.
         assessor = ThreatAssessor(params=ZhuyiParams(), road=None)
-        trajectory = straight_trajectory(30.0, 0.0, speed=5.0)
-        with pytest.raises(EstimationError):
-            assessor.sample_threats_trace(
-                [vstate(0.0)], self.spec, trajectory, self.spec,
-                np.array([0.0]), np.array([0.0, 0.1]),
+        samples = []
+        for t in np.arange(0.0, 15.25, 0.25):
+            y = max(-1.0, 4.0 - 0.6 * t)
+            samples.append(TimedState(float(t), vstate(40.0 + 6.0 * t, y, 6.0)))
+        trajectory = StateTrajectory(samples)
+        t0s = np.arange(0.0, 10.0, 0.7)
+        ego_states = [
+            vstate(5.0 * t, 0.1 * t, speed=5.0, heading=0.02 * t)
+            for t in t0s
+        ]
+        for rel_times in (np.arange(0.0, 9.0, 0.01), ODD_REL_TIMES):
+            gaps, speeds = assessor.sample_threats_trace(
+                ego_states, self.spec, trajectory, self.spec, t0s, rel_times
             )
+            for n, (state, t0) in enumerate(zip(ego_states, t0s)):
+                threat = assessor.build_threat(
+                    state, self.spec, trajectory, self.spec, t0=float(t0)
+                )
+                tick_gaps, tick_speeds = threat.sample(rel_times)
+                assert np.array_equal(gaps[n], tick_gaps), t0
+                assert np.array_equal(speeds[n], tick_speeds), t0
+            assert np.isinf(gaps).any() and np.isfinite(gaps).any()
 
     def test_gate_disabled_skips_corridor(self):
         assessor = ThreatAssessor(params=ZhuyiParams(gate_lateral=False))
@@ -612,17 +631,25 @@ class TestFuturesBatch:
         assert np.array_equal(built[0], cached[0])
         assert np.array_equal(built[1], cached[1])
 
-    def test_sampling_requires_road_when_gating(self):
+    def test_no_road_samples_match_per_tick_trajectory_threat(self):
         spec = VehicleSpec()
         params, assessor, t0s, ego_states, trajectories = (
             self.per_tick_setup(road=False)
         )
-        with pytest.raises(EstimationError):
-            assessor.sample_threat_futures(
-                ego_states,
-                spec,
-                self.rollout_rows(trajectories),
-                spec,
-                t0s,
-                np.array([0.0, 1.0]),
+        rel_times = np.array([0.0, 0.1, 0.37, 1.0, 2.5, 7.0, 30.0])
+        gaps, speeds = assessor.sample_threat_futures(
+            ego_states,
+            spec,
+            self.rollout_rows(trajectories),
+            spec,
+            t0s,
+            rel_times,
+        )
+        for i in range(len(t0s)):
+            threat = assessor.build_threat(
+                ego_states[i], spec, trajectories[i], spec, t0=float(t0s[i])
             )
+            ref_gaps, ref_speeds = threat.sample(rel_times)
+            assert np.array_equal(gaps[i], ref_gaps), i
+            assert np.array_equal(speeds[i], ref_speeds), i
+        assert np.isinf(gaps).any() and np.isfinite(gaps).any()
