@@ -31,6 +31,8 @@ import sys
 import time
 from pathlib import Path
 
+from benchlib import series_fingerprint
+
 OUT_DIR = Path(__file__).parent / "out"
 
 #: (scenario, is the multi-actor engine showcase)
@@ -49,23 +51,6 @@ SMOKE_SCENARIOS = [("cut_out", False), ("cut_in_dense4", True)]
 MULTI_ACTOR_FLOOR = 1.5
 #: The headline target, recorded (and reported) rather than asserted.
 MULTI_ACTOR_TARGET = 3.0
-
-
-def series_fingerprint(series) -> str:
-    """Canonical byte representation of a whole evaluation series."""
-    payload = [
-        {
-            "time": tick.time,
-            "cameras": {
-                camera: (estimate.fpr, estimate.latency)
-                for camera, estimate in sorted(tick.camera_estimates.items())
-            },
-            "actors": dict(sorted(tick.actor_latencies.items())),
-            "ego": (tick.ego_speed, tick.ego_accel),
-        }
-        for tick in series.ticks
-    ]
-    return json.dumps(payload)
 
 
 def run_scenario(name: str, stride: float, rounds: int = 1):

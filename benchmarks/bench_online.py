@@ -34,6 +34,8 @@ import sys
 import time
 from pathlib import Path
 
+from benchlib import series_fingerprint
+
 OUT_DIR = Path(__file__).parent / "out"
 
 #: (scenario, is a multi-actor workload with the asserted floor)
@@ -51,23 +53,6 @@ SMOKE_SCENARIOS = [
 
 #: Hard end-to-end floor asserted on every multi-actor scenario.
 MULTI_ACTOR_FLOOR = 1.5
-
-
-def series_fingerprint(series) -> str:
-    """Canonical byte representation of a whole evaluation series."""
-    payload = [
-        {
-            "time": tick.time,
-            "cameras": {
-                camera: (estimate.fpr, estimate.latency)
-                for camera, estimate in sorted(tick.camera_estimates.items())
-            },
-            "actors": dict(sorted(tick.actor_latencies.items())),
-            "ego": (tick.ego_speed, tick.ego_accel),
-        }
-        for tick in series.ticks
-    ]
-    return json.dumps(payload)
 
 
 def run_scenario(name: str, period: float, rounds: int = 1):

@@ -42,6 +42,8 @@ import sys
 import time
 from pathlib import Path
 
+from benchlib import series_fingerprint
+
 OUT_DIR = Path(__file__).parent / "out"
 
 #: (scenario, is a multi-actor curved showcase with the asserted floor)
@@ -69,23 +71,6 @@ NOISE_OVERHEAD_CEILING = 1.2
 
 #: The --noise workload's stochastic perception setting.
 NOISE_SPEC = {"miss_rate": 0.15, "position_noise": 0.3, "seed": 42}
-
-
-def series_fingerprint(series) -> str:
-    """Canonical byte representation of a whole evaluation series."""
-    payload = [
-        {
-            "time": tick.time,
-            "cameras": {
-                camera: (estimate.fpr, estimate.latency)
-                for camera, estimate in sorted(tick.camera_estimates.items())
-            },
-            "actors": dict(sorted(tick.actor_latencies.items())),
-            "ego": (tick.ego_speed, tick.ego_accel),
-        }
-        for tick in series.ticks
-    ]
-    return json.dumps(payload)
 
 
 def run_scenario(name: str, stride: float, rounds: int = 1):

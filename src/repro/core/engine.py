@@ -61,23 +61,13 @@ from repro.core.threat import LongitudinalThreat, sample_grid
 #: int64 range so the +1 merge shifts can never overflow it.
 _NO_INDEX = np.iinfo(np.int64).max // 2
 
-#: Per-chunk element budget for :meth:`LatencyEngine.solve_rows`. A
-#: cache-locality compromise, settled by sweeping campaign workloads:
-#: larger chunks amortize the per-tick ego-profile builds over more
-#: rows, but once the float64 ``(R, S, T)`` temporaries outgrow the
-#: last-level cache every broadcasted comparison turns memory-bound —
-#: cross-trace row blocks big enough to saturate the old 8M cap ran
-#: ~1.5x slower than at this setting, and halving it again loses the
-#: profile amortization instead.
+#: Per-group workspace budget of :meth:`LatencyEngine._solve_rows_grouped`:
+#: a tick group wider than ``_ROWS_CHUNK_ELEMENTS / (S * T)`` rows runs
+#: its ``(G, S, T)`` feasibility program in chunks of that many rows, so
+#: the float64 temporaries stay near the last-level cache. Past it every
+#: broadcasted comparison turns memory-bound; ordinary campaign stacks
+#: fit in one pass.
 _ROWS_CHUNK_ELEMENTS = 2_000_000
-
-#: Rows-per-distinct-tick density at which :meth:`LatencyEngine.solve_rows`
-#: switches a wave to the tick-resident grouped kernel. Per-trace row
-#: batches sit near the actor count (~2-8 rows per tick), where the
-#: gathered cross-tick program wins; variant-stacked campaign blocks sit
-#: at actors x variants (tens of rows per tick), where re-reading one
-#: cache-hot (S, T) profile per tick beats materializing per-row copies.
-_GROUPED_MIN_ROWS_PER_TICK = 16
 
 
 def _first_true(mask: np.ndarray) -> np.ndarray:
@@ -299,10 +289,11 @@ class LatencyEngine:
 
         Each row pairs a tick index with that actor's threat samples
         over ``concatenate([grid.times, grid.reactions])`` (shape
-        ``(R, T + L)``). The l_max candidate — where most rows of most
-        workloads resolve — is evaluated for every row in one
-        cross-tick array program; only the survivors go on to the
-        later waves, sharing the already-sampled rows. Rows need not
+        ``(R, T + L)``). Every candidate wave runs
+        :meth:`_solve_rows_grouped` over the still-active rows: the
+        l_max candidate — where most rows of most workloads resolve —
+        first, for every row; only the survivors go on to the later
+        waves, sharing the already-sampled rows. Rows need not
         be unique per (tick, actor): :meth:`solve_batch` feeds one
         tick's actors, the online replay one row per (tick, actor,
         prediction hypothesis), each solved independently against its
@@ -339,7 +330,7 @@ class LatencyEngine:
                     "per-row constraints must be (R,) arrays matching "
                     f"{n_rows} rows, got {row_c1.shape} and {row_c2.shape}"
                 )
-        n_times = grid.times.size
+            constraints = (row_c1, row_c2)
         # Per-tick cumulative merged scan sizes — the iterations charged
         # for missing every candidate before a hit.
         miss_prefix = np.concatenate(
@@ -355,92 +346,28 @@ class LatencyEngine:
         for lo, hi in self._waves(grid.latencies.size):
             if active.size == 0:
                 break
-            n_ticks = np.unique(tick_indices[active]).size
-            if (
-                n_ticks == 1
-                or active.size >= _GROUPED_MIN_ROWS_PER_TICK * n_ticks
-            ):
-                # Tick-dense waves — many rows per distinct tick, the
-                # shape of variant-stacked campaign blocks — go through
-                # the tick-resident kernel: one (S, T) profile stays
-                # cache-hot while every row of its tick compares against
-                # it, with no (R, S, T) gather copies at all. A
-                # single-tick wave (every solve_batch call) has nothing
-                # to gather across ticks, so it always goes this way.
-                found, hit, check_times, scanned = self._solve_rows_grouped(
-                    grid,
-                    lo,
-                    hi,
-                    active,
-                    tick_indices,
-                    ego_motions,
-                    gaps,
-                    aspeeds,
-                    constraints=(
-                        None if constraints is None else (row_c1, row_c2)
-                    ),
-                )
-                for k in np.flatnonzero(found):
-                    row = int(active[k])
-                    h = lo + int(hit[k])
-                    results[row] = LatencyResult(
-                        latency=float(grid.latencies[h]),
-                        check_time=float(check_times[k]),
-                        iterations=int(
-                            miss_prefix[tick_indices[row], h] + scanned[k]
-                        ),
-                    )
-                active = active[~found]
-                continue
-            # Cap each kernel call's cache working set; survivor counts
-            # shrink wave over wave, so chunk counts fall off quickly.
-            # The width estimate uses the survivors' longest candidate
-            # scan, not the master axis, so chunks stay as large as the
-            # budget allows when the time trim below bites.
-            wave_cap = int(grid.lengths[tick_indices[active], lo:hi].max())
-            chunk = max(
-                1, int(_ROWS_CHUNK_ELEMENTS / ((hi - lo) * max(1, wave_cap)))
+            found, hit, check_times, scanned = self._solve_rows_grouped(
+                grid,
+                lo,
+                hi,
+                active,
+                tick_indices,
+                ego_motions,
+                gaps,
+                aspeeds,
+                constraints=constraints,
             )
-            still: list[np.ndarray] = []
-            for begin in range(0, active.size, chunk):
-                rows = active[begin : begin + chunk]
-                # Trim the chunk's time axis to the longest prefix any
-                # of its (row, candidate) scans admits: every instant
-                # past a row's ``lengths`` is masked invalid anyway, so
-                # the answers are identical and the (R, S, T) program
-                # never pays for the master grid's tail — which, on
-                # stacked multi-trace grids, belongs to *other* traces'
-                # horizons.
-                t_cap = int(grid.lengths[tick_indices[rows], lo:hi].max())
-                found, hit, check_times, scanned = self._solve_rows_slice(
-                    grid,
-                    lo,
-                    hi,
-                    tick_indices[rows],
-                    ego_motions,
-                    gaps[rows, :t_cap],
-                    aspeeds[rows, :t_cap],
-                    gaps[rows, n_times + lo : n_times + hi],
-                    aspeeds[rows, n_times + lo : n_times + hi],
-                    constraints=(
-                        None
-                        if constraints is None
-                        else (row_c1[rows], row_c2[rows])
+            for k in np.flatnonzero(found):
+                row = int(active[k])
+                h = lo + int(hit[k])
+                results[row] = LatencyResult(
+                    latency=float(grid.latencies[h]),
+                    check_time=float(check_times[k]),
+                    iterations=int(
+                        miss_prefix[tick_indices[row], h] + scanned[k]
                     ),
-                    t_cap=t_cap,
                 )
-                for k in np.flatnonzero(found):
-                    row = int(rows[k])
-                    h = lo + int(hit[k])
-                    results[row] = LatencyResult(
-                        latency=float(grid.latencies[h]),
-                        check_time=float(check_times[k]),
-                        iterations=int(
-                            miss_prefix[tick_indices[row], h] + scanned[k]
-                        ),
-                    )
-                still.append(rows[~found])
-            active = np.concatenate(still) if still else active[:0]
+            active = active[~found]
         for row in active:
             results[int(row)] = LatencyResult(
                 latency=None,
@@ -461,32 +388,43 @@ class LatencyEngine:
         aspeeds: np.ndarray,
         constraints: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Candidates ``[lo, hi)`` for tick-dense row batches.
+        """Candidates ``[lo, hi)`` for the active ``rows`` — the row kernel.
 
-        The tick-resident sibling of :meth:`_solve_rows_slice`: rows are
-        grouped by tick and each group runs the feasibility program by
-        broadcasting against its tick's own ``(S, T)`` ego profile —
-        trimmed to that tick's longest candidate scan — instead of
-        gathering per-row ``(R, S, T)`` profile copies. Elementwise the
-        arithmetic is unchanged, so results stay bit-identical to the
-        gathered path; it simply wins when many rows (actor x variant
-        stacks) share each distinct tick. ``gaps``/``aspeeds`` are the
-        full ``(R, T + L)`` sample arrays of :meth:`solve_rows`, indexed
-        here per group; ``rows`` selects the still-active row subset.
-        ``constraints`` likewise carries full-length per-row c1/c2
-        arrays. Returns ``(found, hit, check_times, scanned)`` aligned
-        with ``rows``.
+        Rows are grouped by tick (a stable sort; rows are independent,
+        so input order does not matter). Each group scans the master
+        grid by broadcasting its ``(G, S, T)`` samples against its
+        tick's own ``(S, T)`` ego profile, built once and trimmed to
+        that tick's longest candidate scan, and keeps only the first
+        violation and first candidate index per (row, candidate). A
+        group wider than the ``_ROWS_CHUNK_ELEMENTS`` workspace scans
+        in chunks. The ``t_r`` insertion bookkeeping and the hit
+        selection then run once over all rows as ``(R, S)`` arrays.
+        ``gaps``/``aspeeds`` are the full ``(R, T + L)`` sample arrays
+        of :meth:`solve_rows`; ``constraints`` likewise carries
+        full-length per-row c1/c2 arrays, broadcast as columns so each
+        row multiplies by its own scalar. Returns ``(found, hit,
+        check_times, scanned)`` aligned with ``rows``: whether some
+        candidate in the slice is feasible, the first feasible
+        slice-local candidate index, its check time, and how many
+        merged grid points that candidate's scan consumed.
         """
         cap = self.params.ego_speed_cap
         n_times = grid.times.size
         n_slice = hi - lo
         reactions = grid.reactions[lo:hi]
-        pos = grid.insert_at[lo:hi]
+        if constraints is None:
+            c1: float | np.ndarray = self.params.c1
+            c2: float | np.ndarray = self.params.c2
+        else:
+            c1 = constraints[0][rows]
+            c2 = constraints[1][rows]
 
-        found = np.zeros(rows.size, dtype=bool)
-        hit = np.zeros(rows.size, dtype=np.int64)
-        check_times = np.zeros(rows.size, dtype=float)
-        scanned = np.zeros(rows.size, dtype=np.int64)
+        # Per (row, candidate): the first master-grid violation and
+        # candidate index, and the ego profile at the candidate's t_r.
+        fv_m = np.empty((rows.size, n_slice), dtype=np.int64)
+        cf_m = np.empty((rows.size, n_slice), dtype=np.int64)
+        dist_r = np.empty((rows.size, n_slice))
+        speed_r = np.empty((rows.size, n_slice))
 
         ticks = tick_indices[rows]
         order = np.argsort(ticks, kind="stable")
@@ -499,193 +437,65 @@ class LatencyEngine:
             n = int(sorted_ticks[bounds[g]])
             lengths = grid.lengths[n, lo:hi]
             t_cap = int(lengths.max())
-            times = grid.times[:t_cap]
             ego = ego_motions[n]
             anchors = _reaction_anchors(ego, reactions, cap)
+            # One profile over the scan prefix and the t_r instants:
+            # the trailing (S, S) block's diagonal is each candidate's
+            # profile at its own t_r, elementwise the same arithmetic
+            # as a separate (S,) evaluation.
             dist, speed = ego_profile_arrays(
                 ego,
                 reactions[:, None],
-                times,
+                np.concatenate([grid.times[:t_cap], reactions]),
                 cap,
                 anchors=(anchors[0][:, None], anchors[1][:, None]),
             )
-            dist_r, speed_r = ego_profile_arrays(
-                ego, reactions, reactions, cap, anchors=anchors
-            )
-            # Row-independent per-tick masks: the scan window, the
-            # per-candidate prefix lengths and the t_r insertion slots.
-            valid = np.arange(t_cap)[None, :] < lengths[:, None]
-            window = times[None, :] >= reactions[:, None] - _EPS
-            wv = window & valid
-            ins = grid.inserted[n, lo:hi]
-
             group = order[bounds[g] : bounds[g + 1]]
+            dist_r[group] = dist[:, t_cap:].diagonal()
+            speed_r[group] = speed[:, t_cap:].diagonal()
+            dist = dist[:, :t_cap]
+            speed = speed[:, :t_cap]
+            # Row-independent per-tick masks: the per-candidate prefix
+            # lengths and the scan windows.
+            valid = np.arange(t_cap)[None, :] < lengths[:, None]
+            window = grid.times[None, :t_cap] >= reactions[:, None] - _EPS
+            wv = window & valid
+
             # Bound the (G, S, T) workspace for pathologically wide
             # groups; ordinary campaign stacks fit in one pass.
             step = max(1, int(_ROWS_CHUNK_ELEMENTS / (n_slice * t_cap)))
             for begin in range(0, group.size, step):
                 sel = group[begin : begin + step]
-                r_glob = rows[sel]
                 if constraints is None:
-                    c1: float | np.ndarray = self.params.c1
-                    c2: float | np.ndarray = self.params.c2
-                    c1_r: float | np.ndarray = c1
-                    c2_r: float | np.ndarray = c2
+                    c1_m, c2_m = c1, c2
                 else:
-                    c1 = constraints[0][r_glob][:, None, None]
-                    c2 = constraints[1][r_glob][:, None, None]
-                    c1_r = constraints[0][r_glob][:, None]
-                    c2_r = constraints[1][r_glob][:, None]
-                gaps_m = gaps[r_glob, :t_cap][:, None, :]
-                va_m = aspeeds[r_glob, :t_cap][:, None, :]
-                gaps_r = gaps[r_glob, n_times + lo : n_times + hi]
-                va_r = aspeeds[r_glob, n_times + lo : n_times + hi]
+                    c1_m = c1[sel][:, None, None]
+                    c2_m = c2[sel][:, None, None]
+                gaps_m = gaps[rows[sel], None, :t_cap]
+                va_m = aspeeds[rows[sel], None, :t_cap]
+                d_ok = dist[None] <= c1_m * gaps_m + _EPS
+                v_ok = speed[None] <= c2_m * va_m + _EPS
+                fv_m[sel] = _first_true(~d_ok & valid[None])
+                cf_m[sel] = _first_true(d_ok & v_ok & wv[None])
 
-                d_ok = dist[None] <= c1 * gaps_m + _EPS
-                v_ok = speed[None] <= c2 * va_m + _EPS
-                candidate = d_ok & v_ok & wv[None]
-                d_bad = ~d_ok & valid[None]
-
-                fv_m = _first_true(d_bad)  # (G, S)
-                cf_m = _first_true(candidate)
-                first_violation = np.where(
-                    fv_m != _NO_INDEX,
-                    fv_m + (ins[None] & (fv_m >= pos[None])),
-                    _NO_INDEX,
-                )
-                first_candidate = np.where(
-                    cf_m != _NO_INDEX,
-                    cf_m + (ins[None] & (cf_m >= pos[None])),
-                    _NO_INDEX,
-                )
-                d_ok_r = dist_r[None] <= c1_r * gaps_r + _EPS
-                v_ok_r = speed_r[None] <= c2_r * va_r + _EPS
-                first_violation = np.minimum(
-                    first_violation,
-                    np.where(ins[None] & ~d_ok_r, pos[None], _NO_INDEX),
-                )
-                first_candidate = np.minimum(
-                    first_candidate,
-                    np.where(
-                        ins[None] & d_ok_r & v_ok_r, pos[None], _NO_INDEX
-                    ),
-                )
-
-                feasible = first_candidate < _NO_INDEX
-                if self.strict:
-                    feasible &= first_candidate < first_violation
-
-                f = feasible.any(axis=-1)
-                h = feasible.argmax(axis=-1)
-                sub = np.arange(f.size)
-                best = first_candidate[sub, h]
-                ins_h = ins[h]
-                pos_h = grid.insert_at[lo + h]
-                from_reaction = ins_h & (best == pos_h)
-                master_index = best - (ins_h & (best > pos_h))
-                found[sel] = f
-                hit[sel] = h
-                check_times[sel] = np.where(
-                    from_reaction,
-                    grid.reactions[lo + h],
-                    times[np.minimum(master_index, t_cap - 1)],
-                )
-                scanned[sel] = best + 1
-        return found, hit, check_times, scanned
-
-    def _solve_rows_slice(
-        self,
-        grid: TraceGrid,
-        lo: int,
-        hi: int,
-        tick_idx: np.ndarray,
-        ego_motions: Sequence[EgoMotion],
-        gaps_m: np.ndarray,
-        va_m: np.ndarray,
-        gaps_r: np.ndarray,
-        va_r: np.ndarray,
-        constraints: tuple[np.ndarray, np.ndarray] | None = None,
-        t_cap: int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Candidates ``[lo, hi)`` for rows spanning many ticks.
-
-        The gathered kernel for row batches spanning many ticks: ego
-        profile slices are built once per distinct tick and gathered to
-        rows, the feasibility program runs as one ``(R, S, T)`` batch,
-        and the ``t_r``-insertion bookkeeping indexes per (row,
-        candidate). ``constraints`` optionally carries per-row c1/c2
-        columns (broadcast over candidates and instants) in place of
-        the engine constants. ``t_cap`` trims the master time axis to
-        its first ``t_cap`` instants (``gaps_m``/``va_m`` must arrive
-        pre-sliced to match); it must cover every row's candidate
-        lengths, in which case the trim is invisible to the results
-        because all trimmed instants were ``valid``-masked anyway.
-        Returns per-row arrays ``(found, hit, check_time, scanned)``:
-        whether some candidate in the slice is feasible, the first
-        feasible slice-local candidate index, its check time, and how
-        many merged grid points that candidate's scan consumed.
-        """
-        if constraints is None:
-            c1: float | np.ndarray = self.params.c1
-            c2: float | np.ndarray = self.params.c2
-            c1_r: float | np.ndarray = c1
-            c2_r: float | np.ndarray = c2
-        else:
-            # (R, 1, 1) columns against the (R, S, T) master program
-            # and (R, 1) against the (R, S) t_r samples: each row
-            # multiplies by its own scalar, exactly as a scalar c1/c2
-            # would have multiplied it.
-            c1 = constraints[0][:, None, None]
-            c2 = constraints[1][:, None, None]
-            c1_r = constraints[0][:, None]
-            c2_r = constraints[1][:, None]
-        cap = self.params.ego_speed_cap
-        n_times = grid.times.size if t_cap is None else t_cap
-        times = grid.times[:n_times]
-        n_slice = hi - lo
-        reactions = grid.reactions[lo:hi]
-
-        unique_ticks, row_pos = np.unique(tick_idx, return_inverse=True)
-        dist = np.empty((unique_ticks.size, n_slice, n_times))
-        speed = np.empty((unique_ticks.size, n_slice, n_times))
-        dist_r = np.empty((unique_ticks.size, n_slice))
-        speed_r = np.empty((unique_ticks.size, n_slice))
-        for i, n in enumerate(unique_ticks):
-            ego = ego_motions[int(n)]
-            anchors = _reaction_anchors(ego, reactions, cap)
-            dist[i], speed[i] = ego_profile_arrays(
-                ego,
-                reactions[:, None],
-                times,
-                cap,
-                anchors=(anchors[0][:, None], anchors[1][:, None]),
-            )
-            dist_r[i], speed_r[i] = ego_profile_arrays(
-                ego, reactions, reactions, cap, anchors=anchors
-            )
-
-        d_ok = dist[row_pos] <= c1 * gaps_m[:, None, :] + _EPS
-        v_ok = speed[row_pos] <= c2 * va_m[:, None, :] + _EPS
-        window = times[None, None, :] >= reactions[None, :, None] - _EPS
-        valid = (
-            np.arange(n_times)[None, None, :]
-            < grid.lengths[tick_idx, lo:hi][:, :, None]
-        )
-        candidate = d_ok & v_ok & window & valid
-        d_bad = ~d_ok & valid
-
-        ins = grid.inserted[tick_idx, lo:hi]  # (R, S)
+        # The t_r merge, for every row at once: shift master indices
+        # past each candidate's inserted t_r slot, then let the t_r
+        # sample itself violate or qualify at that slot.
+        if constraints is not None:
+            c1 = c1[:, None]
+            c2 = c2[:, None]
+        ins = grid.inserted[ticks, lo:hi]  # (R, S)
         pos = grid.insert_at[None, lo:hi]
-        fv_m = _first_true(d_bad)  # (R, S)
-        cf_m = _first_true(candidate)
         first_violation = np.where(
             fv_m != _NO_INDEX, fv_m + (ins & (fv_m >= pos)), _NO_INDEX
         )
         first_candidate = np.where(
             cf_m != _NO_INDEX, cf_m + (ins & (cf_m >= pos)), _NO_INDEX
         )
-        d_ok_r = dist_r[row_pos] <= c1_r * gaps_r + _EPS
-        v_ok_r = speed_r[row_pos] <= c2_r * va_r + _EPS
+        gaps_r = gaps[rows, n_times + lo : n_times + hi]
+        va_r = aspeeds[rows, n_times + lo : n_times + hi]
+        d_ok_r = dist_r <= c1 * gaps_r + _EPS
+        v_ok_r = speed_r <= c2 * va_r + _EPS
         first_violation = np.minimum(
             first_violation, np.where(ins & ~d_ok_r, pos, _NO_INDEX)
         )
@@ -699,15 +509,17 @@ class LatencyEngine:
 
         found = feasible.any(axis=-1)
         hit = feasible.argmax(axis=-1)
-        rows = np.arange(feasible.shape[0])
-        best = first_candidate[rows, hit]
-        ins_h = ins[rows, hit]
+        at = np.arange(rows.size)
+        best = first_candidate[at, hit]
+        ins_h = ins[at, hit]
         pos_h = grid.insert_at[lo + hit]
         from_reaction = ins_h & (best == pos_h)
         master_index = best - (ins_h & (best > pos_h))
+        # Rows with nothing found carry placeholder values; solve_rows
+        # reads only the found ones.
         check_times = np.where(
             from_reaction,
             grid.reactions[lo + hit],
-            times[np.minimum(master_index, n_times - 1)],
+            grid.times[np.minimum(master_index, n_times - 1)],
         )
         return found, hit, check_times, best + 1

@@ -554,11 +554,11 @@ def _job_latencies(
 
     The engine's params supply every constant but ``c1``/``c2``, which
     come per variant from ``c1s``/``c2s``. Gates and ego path rows build
-    once; then each tick block samples every actor's gated rows, sorts
-    them tick-major, tiles them over the variants (each copy carrying
-    its variant's ``c1``/``c2`` as per-row constraint columns) and
-    solves them in one :meth:`LatencyEngine.solve_rows` call. Tables
-    list gated actors only, in trajectory order.
+    once; then each tick block samples every actor's gated rows, tiles
+    them over the variants (each copy carrying its variant's
+    ``c1``/``c2`` as per-row constraint columns) and solves them in one
+    :meth:`LatencyEngine.solve_rows` call, which groups them by tick
+    itself. Tables list gated actors only, in trajectory order.
     """
     params = engine.params
     samples = job.samples
@@ -624,25 +624,19 @@ def _job_latencies(
             speed_chunks.append(speeds)
         if not tick_chunks:
             continue
-        # Tick-major rows: all (actor, variant) rows of a tick sit
-        # together, the density the engine's grouped kernel keys on.
-        # A pure permutation — rows are independent.
         ticks = np.concatenate(tick_chunks)
-        order = np.argsort(ticks, kind="stable")
-        ticks = ticks[order]
         width = ticks.size
         results = engine.solve_rows(
             grid,
             np.tile(ticks, n_variants),
             motions,
-            np.tile(np.vstack(gap_chunks)[order], (n_variants, 1)),
-            np.tile(np.vstack(speed_chunks)[order], (n_variants, 1)),
+            np.tile(np.vstack(gap_chunks), (n_variants, 1)),
+            np.tile(np.vstack(speed_chunks), (n_variants, 1)),
             constraints=(np.repeat(c1s, width), np.repeat(c2s, width)),
         )
-        actors = [row_actors[i] for i in order]
         for vi, table in enumerate(tables):
             solved = results[vi * width : (vi + 1) * width]
-            for tick, actor_id, result in zip(ticks, actors, solved):
+            for tick, actor_id, result in zip(ticks, row_actors, solved):
                 table[tick][actor_id] = result.latency
     order = list(samples.actor_trajectories)
     return [

@@ -9,10 +9,9 @@ about any row's answer. Concretely:
 * solving a trace's rows through a stacked multi-trace grid is
   bit-identical to solving them through that trace's own grid;
 * :meth:`LatencyEngine.solve_rows` is a pure per-row map — permutation
-  invariant, and a whole batch (dense enough to engage the
-  tick-resident grouped kernel) agrees with one-row-at-a-time solves
-  (which take the gathered kernel), pinning the two kernels against
-  each other;
+  invariant, and a whole batch (many rows sharing each tick) agrees
+  with one-row-at-a-time solves, so no row's answer depends on which
+  other rows share its call or its tick group;
 * variant stacking via per-row ``constraints`` matches dedicated
   engines carrying each variant's c1/c2.
 
@@ -142,16 +141,15 @@ def test_solve_rows_permutation_invariant(seed, n_ticks):
 @relaxed
 @given(seed=seeds, n_ticks=st.integers(min_value=1, max_value=3))
 def test_grouped_kernel_matches_row_at_a_time(seed, n_ticks):
-    """A tick-dense batch (grouped kernel) == singleton solves (gathered)."""
+    """Per-row purity: a tick-dense batch == row-at-a-time solves."""
     params = ZhuyiParams()
     engine = LatencyEngine(params=params)
     rng = np.random.default_rng(seed)
     motions = _motions(rng, n_ticks, params)
     grid = engine.trace_grid(motions, L0)
     width = grid.times.size + grid.reactions.size
-    # Well past _GROUPED_MIN_ROWS_PER_TICK rows per tick: the batch
-    # call runs the tick-resident kernel, each singleton the gathered
-    # one.
+    # 24 rows share each tick in the batch call; each singleton call
+    # solves its row alone.
     ticks, gaps, speeds = _rows(rng, n_ticks, 24, width)
 
     batch = engine.solve_rows(grid, ticks, motions, gaps, speeds)

@@ -6,9 +6,12 @@ EXACT strategy, so every test here compares against
 :class:`LatencySearch` rather than against golden numbers.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.core import engine as engine_module
 from repro.core.engine import LatencyEngine
 from repro.core.ego_profile import EgoMotion
 from repro.core.latency import LatencySearch
@@ -140,10 +143,14 @@ class TestSolveRows:
             np.stack(gaps),
             np.stack(speeds),
         )
+        search = LatencySearch(params=PARAMS)
         for k, (tick, threat) in enumerate(
             (t, threat) for t in range(len(motions)) for threat in threats
         ):
             assert_same(engine.solve(motions[tick], threat, l0), rows[k])
+            assert_same(
+                search.tolerable_latency(motions[tick], threat, l0), rows[k]
+            )
 
     def test_trace_grid_rows_match_one_tick_grids(self):
         engine = LatencyEngine(params=PARAMS)
@@ -163,6 +170,63 @@ class TestSolveRows:
             reach = single.insert_at < single.times.size
             assert np.array_equal(
                 single.insert_at[reach], grid.insert_at[reach]
+            )
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_group_chunks_match_unchunked_and_scalar(
+        self, monkeypatch, constrained
+    ):
+        # A workspace budget of a few l_max scans splits each 24-row
+        # tick group into uneven chunks on every wave.
+        engine = LatencyEngine(params=PARAMS)
+        motions = [ego(28.0, -1.0), ego(14.0, 1.5)]
+        l0 = 1.0 / 30.0
+        grid = engine.trace_grid(motions, l0)
+        rel_times = np.concatenate([grid.times, grid.reactions])
+        per_tick = 24
+        threats = [
+            FixedGapThreat(float(gap), float(speed))
+            for gap, speed in zip(
+                np.linspace(1.0, 200.0, per_tick),
+                np.resize([0.0, 5.0, 15.0, 25.0], per_tick),
+            )
+        ]
+        ticks = np.repeat(np.arange(len(motions)), per_tick)
+        sampled = [threat.sample(rel_times) for threat in threats]
+        gaps = np.stack([g for g, _ in sampled] * len(motions))
+        speeds = np.stack([s for _, s in sampled] * len(motions))
+        variants = [(PARAMS.c1, PARAMS.c2), (0.85, 1.0), (1.0, 0.8)]
+        picks = np.resize(np.arange(len(variants)), ticks.size)
+        constraints = None
+        if constrained:
+            constraints = (
+                np.array([variants[v][0] for v in picks]),
+                np.array([variants[v][1] for v in picks]),
+            )
+
+        def solve():
+            return engine.solve_rows(
+                grid, ticks, motions, gaps, speeds, constraints=constraints
+            )
+
+        unchunked = solve()
+        budget = 5 * int(grid.lengths[:, 0].max())
+        assert budget // int(grid.lengths[:, 0].min()) < per_tick
+        monkeypatch.setattr(engine_module, "_ROWS_CHUNK_ELEMENTS", budget)
+        chunked = solve()
+
+        for row, (tick, result) in enumerate(zip(ticks, chunked)):
+            params = PARAMS
+            if constrained:
+                c1, c2 = variants[picks[row]]
+                params = replace(PARAMS, c1=c1, c2=c2)
+            search = LatencySearch(params=params)
+            assert_same(unchunked[row], result)
+            assert_same(
+                search.tolerable_latency(
+                    motions[tick], threats[row % per_tick], l0
+                ),
+                result,
             )
 
     def test_empty_rows(self):
